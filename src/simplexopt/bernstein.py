@@ -40,7 +40,7 @@ from .combinatorics import (
     multinomial,
     stirling2,
 )
-from .grid import _integer_numerator, enumerate_grid
+from .grid import _grid_blocks, _Kernel
 from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
@@ -76,12 +76,14 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Degree-r homogeneous form: the coefficient of x^alpha is
     f(alpha/r) * r!/alpha!."""
     _require_order(r)
-    num, denom = _integer_numerator(f, r)
+    kernel = _Kernel(f, r)
     terms: dict[MultiIndex, Fraction] = {}
-    for alpha in enumerate_grid(f.n, r):
-        v = num(alpha)
-        if v:
-            terms[alpha] = Fraction(v * multinomial(r, alpha), denom)
+    for block in _grid_blocks(f.n, r):
+        values = kernel.values(block)
+        nonzero = np.flatnonzero(values)
+        for alpha, v in zip(block[:, nonzero].T.tolist(), values[nonzero].tolist()):
+            alpha = tuple(alpha)
+            terms[alpha] = Fraction(v * multinomial(r, alpha), kernel.denom)
     poly = HomogeneousPolynomial(f.n, r, terms)
     return BernsteinResult(homogeneous=poly, reduced=None, r=r, source=SOURCE_DEFINITIONAL)
 

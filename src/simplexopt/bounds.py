@@ -31,11 +31,11 @@ from math import ceil
 from typing import Sequence
 
 from .combinatorics import falling_factorial
-from .grid import GridMinimum, GridPoint, enumerate_grid, grid_maximize, grid_minimize
+from .grid import GridMinimum, GridPoint, grid_maximize, grid_minimize
 from .polynomial import (
+    GeneralPolynomial,
     HomogeneousPolynomial,
     coefficient_range_bounds,
-    evaluate,
     is_square_free,
     motzkin_straus,
     ptas_constant,
@@ -151,6 +151,8 @@ def _certify(
     threads: int | None,
 ) -> BoundCertificate:
     gm = grid_result if grid_result is not None else grid_minimize(f, r, threads=threads)
+    if rng.is_exact:
+        _refute_exact_range(f, rng, gm.value)
     gap = gm.value - rng.lower
     bound = theorem_bound if rng.is_exact else max(theorem_bound, rng.span)
     ratio = gap / rng.span if rng.is_exact and rng.span else None
@@ -166,6 +168,31 @@ def _certify(
         satisfied=gap <= bound,
         ratio=ratio,
     )
+
+
+def _largest_vertex_value(f: HomogeneousPolynomial) -> Fraction:
+    """max_i f(e_i): the coefficient of the largest pure power x_i^d."""
+    return max(f.coefficient(tuple(f.d if k == i else 0 for k in range(f.n))) for i in range(f.n))
+
+
+def _refute_exact_range(f: HomogeneousPolynomial, rng: RangeInput, grid_value: Fraction) -> None:
+    """Reject an asserted (min f, max f) that evidence already in hand
+    contradicts: the true minimum lies between the Bernstein-coefficient low
+    and the grid value, and the true maximum between the largest vertex value
+    f(e_i) and the coefficient high."""
+    if f.d >= 1:
+        low, high = coefficient_range_bounds(f)
+    else:
+        low = high = f.coefficient((0,) * f.n)
+    vertex = _largest_vertex_value(f)
+    if not low <= rng.lower <= grid_value:
+        raise ValueError(
+            f"asserted minimum {rng.lower} is refuted: the minimum lies in [{low}, {grid_value}]"
+        )
+    if not vertex <= rng.upper <= high:
+        raise ValueError(
+            f"asserted maximum {rng.upper} is refuted: the maximum lies in [{vertex}, {high}]"
+        )
 
 
 def _require_order(r: int, minimum: int = 1) -> None:
@@ -185,10 +212,7 @@ def bound_quadratic(
     _require_order(r)
     if f.d != 2:
         raise ValueError(f"quadratic bound needs degree 2, got degree {f.d}")
-    q_max = max(
-        f.coefficient(tuple(2 if k == i else 0 for k in range(f.n))) for i in range(f.n)
-    )
-    bound = Fraction(q_max - rng.lower, r)
+    bound = Fraction(_largest_vertex_value(f) - rng.lower, r)
     return _certify(THEOREM_QUADRATIC, f, r, rng, bound, grid_result, threads)
 
 
@@ -409,16 +433,13 @@ def bernstein_excess_on_grid(
     f: HomogeneousPolynomial, r: int, verify_order: int = 64
 ) -> tuple[Fraction, GridPoint]:
     """Empirical maximum of B_r(f) - f over a fine verification grid, with
-    its witness point.  This is an exact lower estimate of the true maximum
-    over the simplex (which is not computable exactly in general)."""
+    its witness point (the lexicographically smallest index among ties).
+    This is an exact lower estimate of the true maximum over the simplex
+    (which is not computable exactly in general)."""
     reduced = bernstein_closed_form(f, r).reduced
     assert reduced is not None
-    best: Fraction | None = None
-    best_alpha: tuple[int, ...] = ()
-    for alpha in enumerate_grid(f.n, verify_order):
-        x = [Fraction(a, verify_order) for a in alpha]
-        excess = evaluate(reduced, x) - evaluate(f, x)
-        if best is None or excess > best:
-            best, best_alpha = excess, alpha
-    assert best is not None
-    return best, GridPoint(best_alpha, verify_order)
+    excess = dict(reduced.terms)
+    for beta, c in f.terms.items():
+        excess[beta] = excess.get(beta, Fraction(0)) - c
+    gm = grid_maximize(GeneralPolynomial(f.n, excess), verify_order)
+    return gm.value, gm.argmin

@@ -6,6 +6,13 @@ index vectors in lexicographic order, ranks/unranks them (combinatorial
 number system) so iteration can be partitioned into disjoint contiguous
 ranges, and scans them for exact extrema with a deterministic lexicographic
 tie-break.
+
+Every grid scan runs through one vectorized kernel: the grid is produced as
+numpy blocks of index vectors and the polynomial, compiled to integer
+numerators over a common denominator, is evaluated a block at a time.  The
+kernel uses int64 arithmetic only when an a-priori bound proves that no
+product or partial sum can overflow; otherwise the same code runs on arrays
+of Python ints, so results are exact either way.
 """
 
 from __future__ import annotations
@@ -13,9 +20,12 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 from random import Random
-from typing import Callable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from .combinatorics import MultiIndex, _next_composition, compositions
 from .polynomial import HomogeneousPolynomial, Polynomial
@@ -106,8 +116,7 @@ def composition_unrank(n: int, r: int, rank: int) -> MultiIndex:
 
 def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiIndex]:
     """Yield the grid index vectors with ranks start <= rank < stop, in
-    order.  Disjoint ranges cover the grid without overlap, which is what
-    makes partitioned parallel scans deterministic."""
+    order.  Disjoint ranges cover the grid without overlap."""
     total = grid_size(n, r)
     if not (0 <= start <= stop <= total):
         raise ValueError(f"invalid range [{start}, {stop}) for grid of size {total}")
@@ -125,36 +134,124 @@ def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiInde
 # ---------------------------------------------------------------------------
 
 
-def _integer_numerator(f: Polynomial, r: int) -> tuple[Callable[[MultiIndex], int], int]:
-    """Compile f into an integer numerator function over grid index vectors.
+# Grid points per kernel block: large enough that numpy's per-call overhead
+# is spread over many points, small enough that a block's working set (its
+# index vectors, one int64 or object row per variable, two accumulators)
+# stays small.
+_BLOCK_ROWS = 1024
+_INT64_MAX = 2**63 - 1
 
-    At the grid point alpha/r the value of f is num(alpha) / denom with the
-    fixed positive denominator returned alongside, so value comparisons
-    reduce to integer comparisons.
+
+def _suffix_table(tables: dict, m: int, s: int, dtype: np.dtype) -> np.ndarray:
+    """(m, C(s+m-1, s)) array of every composition of s into m parts, one per
+    column, in lexicographic order; memoised in `tables`.
+
+    The compositions whose first part is 0 are those of s into m-1 parts
+    behind a 0; the rest are the compositions of s-1 into m parts with the
+    first part raised by one.  So the table for (m, s) needs every table
+    (j, k) with j <= m, k <= s, which are built in that order without
+    recursion.
     """
-    dmax = f.d if isinstance(f, HomogeneousPolynomial) else f.degree()
-    cden = lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
-    compiled = []
-    for beta, c in f.terms.items():
-        pairs = tuple((i, e) for i, e in enumerate(beta) if e)
-        deficit = dmax - sum(e for _, e in pairs)
-        compiled.append((c.numerator * (cden // c.denominator) * r**deficit, pairs))
+    if (m, s) not in tables:
+        for j in range(1, m + 1):
+            for k in range(s + 1):
+                if (j, k) in tables:
+                    continue
+                if j == 1:
+                    t = np.full((1, 1), k, dtype)
+                elif k == 0:
+                    t = np.zeros((j, 1), dtype)
+                else:
+                    zero_first, raised = tables[(j - 1, k)], tables[(j, k - 1)]
+                    w = zero_first.shape[1]
+                    t = np.empty((j, w + raised.shape[1]), dtype)
+                    t[0, :w] = 0
+                    t[1:, :w] = zero_first
+                    t[:, w:] = raised
+                    t[0, w:] += 1
+                tables[(j, k)] = t
+    return tables[(m, s)]
 
-    def num(alpha: MultiIndex) -> int:
-        total = 0
-        for const, pairs in compiled:
-            prod = const
-            for i, e in pairs:
-                base = alpha[i]
-                if base == 0:
-                    prod = 0
-                    break
-                prod *= base if e == 1 else base**e
-            if prod:
-                total += prod
-        return total
 
-    return num, cden * r**dmax
+def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
+    """Yield the order-r grid as (n, rows) arrays of index vectors, one
+    vector per column, in ascending lexicographic order, at most _BLOCK_ROWS
+    columns per block, in the smallest integer dtype that holds r.
+
+    A block is stitched from pieces "fixed prefix + every composition of the
+    remaining total over the remaining slots"; the suffix tables are memoised
+    for this scan only and dropped when the generator finishes.
+    """
+    dtype = np.min_scalar_type(r)
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    block = np.empty((n, _BLOCK_ROWS), dtype)
+    filled = 0
+    stack = [((), n, r)]  # depth-first over prefixes, smallest first
+    while stack:
+        prefix, m, s = stack.pop()
+        width = comb(s + m - 1, s)
+        if width > _BLOCK_ROWS:
+            stack.extend((prefix + (v,), m - 1, s - v) for v in range(s, -1, -1))
+            continue
+        if filled + width > _BLOCK_ROWS:
+            yield block[:, :filled]
+            block = np.empty((n, _BLOCK_ROWS), dtype)
+            filled = 0
+        k = len(prefix)
+        if k:
+            block[:k, filled : filled + width] = np.array(prefix, dtype)[:, None]
+        block[k:, filled : filled + width] = _suffix_table(tables, m, s, dtype)
+        filled += width
+    yield block[:, :filled]
+
+
+class _Kernel:
+    """f compiled for exact evaluation on the order-r grid.
+
+    At the grid point alpha/r the value of f is values(alpha) / denom with a
+    fixed positive integer denom, so value comparisons are integer
+    comparisons.  Each term keeps its integer-cleared coefficient (times
+    r^deficit for terms below the top degree) and its variables, each
+    repeated as often as its exponent.  Every product and partial sum the
+    evaluation forms is bounded in absolute value by
+    sum |coefficient| * r^degree, so the int64 dtype is used only when that
+    bound fits; otherwise the same arrays hold Python ints (dtype=object).
+    """
+
+    def __init__(self, f: Polynomial, r: int):
+        dmax = f.d if isinstance(f, HomogeneousPolynomial) else f.degree()
+        cden = lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
+        self.terms = []
+        for beta, c in f.terms.items():
+            factors = tuple(i for i, e in enumerate(beta) for _ in range(e))
+            deficit = dmax - len(factors)
+            self.terms.append((c.numerator * (cden // c.denominator) * r**deficit, factors))
+        self.denom = cden * r**dmax
+        bound = sum(abs(c) for c, _ in self.terms) * r**dmax
+        self.dtype = np.int64 if bound <= _INT64_MAX else object
+        self.variables = sorted({i for _, factors in self.terms for i in factors})
+
+    def values(self, block: np.ndarray) -> np.ndarray:
+        """Numerators of f at every index vector (column) of a block."""
+        rows = {i: block[i].astype(self.dtype) for i in self.variables}
+        out = np.zeros(block.shape[1], dtype=self.dtype)
+        prod = np.empty_like(out)
+        for coeff, factors in self.terms:
+            if not factors:
+                out += coeff
+                continue
+            # the coefficient goes in last: on the object path the products
+            # of grid entries are cheap and only two big-integer operations
+            # per point remain
+            if len(factors) == 1:
+                np.multiply(rows[factors[0]], coeff, out=prod)
+            else:
+                np.multiply(rows[factors[0]], rows[factors[1]], out=prod)
+                for i in factors[2:]:
+                    prod *= rows[i]
+                prod *= coeff
+            out += prod
+        return out
 
 
 def _scan_extremum(
@@ -162,38 +259,39 @@ def _scan_extremum(
 ) -> GridMinimum:
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"grid order must be an integer >= 1, got {r!r}")
-    n = f.n
-    num, denom = _integer_numerator(f, r)
-    total = grid_size(n, r)
+    kernel = _Kernel(f, r)
+    total = grid_size(f.n, r)
 
-    def scan(indices: Iterator[MultiIndex]) -> tuple[int, MultiIndex]:
-        best_v: int | None = None
-        best_a: MultiIndex = ()
-        for alpha in indices:
-            v = num(alpha)
-            if best_v is None or (v < best_v if prefer_smaller else v > best_v):
-                best_v, best_a = v, alpha
-        assert best_v is not None
-        return best_v, best_a
+    def best_of(block: np.ndarray) -> tuple[int, np.ndarray]:
+        values = kernel.values(block)
+        # argmin/argmax return the first occurrence: the lexicographically
+        # smallest index vector among the block's ties
+        j = int(values.argmin() if prefer_smaller else values.argmax())
+        return int(values[j]), block[:, j]
 
+    def better(v: int, best: int | None) -> bool:
+        return best is None or (v < best if prefer_smaller else v > best)
+
+    best_v: int | None = None
+    best_a = None
     workers = threads or 1
-    if workers <= 1 or total < 2 * workers:
-        best_v, best_a = scan(enumerate_grid(n, r))
-    else:
-        bounds = [total * k // workers for k in range(workers + 1)]
-        chunks = [(bounds[k], bounds[k + 1]) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda span: scan(iter_grid_range(n, r, span[0], span[1])), chunks)
-            )
-        # Merge in chunk order: a strict improvement is required to displace
-        # an earlier chunk's witness, so the lexicographically smallest index
-        # wins ties regardless of scheduling.
-        best_v, best_a = results[0]
-        for v, a in results[1:]:
-            if v < best_v if prefer_smaller else v > best_v:
+    blocks = _grid_blocks(f.n, r)
+    if workers <= 1 or total <= _BLOCK_ROWS:
+        for v, a in map(best_of, blocks):
+            if better(v, best_v):
                 best_v, best_a = v, a
-    return GridMinimum(Fraction(best_v, denom), GridPoint(best_a, r), total)
+    else:
+        # Blocks are evaluated `workers` at a time and merged in block order:
+        # a strict improvement is required to displace an earlier block's
+        # witness, so the result does not depend on scheduling.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            while batch := list(islice(blocks, workers)):
+                for v, a in pool.map(best_of, batch):
+                    if better(v, best_v):
+                        best_v, best_a = v, a
+    assert best_v is not None
+    alpha = tuple(int(x) for x in best_a)
+    return GridMinimum(Fraction(best_v, kernel.denom), GridPoint(alpha, r), total)
 
 
 def grid_minimize(f: Polynomial, r: int, threads: int | None = None) -> GridMinimum:

@@ -151,7 +151,11 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than int() accepts, or non-ASCII digits
+                raise ParseError(f"unreadable integer literal of {j - i} digits", i) from None
+            tokens.append(("int", value, i))
             i = j
         elif ch in _OPS or ch == "x":
             tokens.append((ch, 0, i))

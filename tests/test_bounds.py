@@ -156,6 +156,30 @@ class TestGeneralBound:
             bound_general(parse_polynomial("3", 2), 2, exact_range(3, 3))
 
 
+class TestExactRangeRefutation:
+    # min f = -17/32, max f = 2; coefficient range [-5/2, 2]; the order-2
+    # grid value is -1/2 and the vertex values are 2 and 1
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (F(-1, 4), 2),  # lower above the grid value
+            (-3, 2),  # lower below the coefficient low
+            (F(-17, 32), F(3, 2)),  # upper below a vertex value
+            (F(-17, 32), 3),  # upper above the coefficient high
+        ],
+    )
+    def test_contradicted_range_rejected(self, lower, upper):
+        f = parse_polynomial("2*x1^2 + x2^2 - 5*x1*x2", 2)
+        with pytest.raises(ValueError, match="refuted"):
+            bound_quadratic(f, 2, exact_range(lower, upper))
+
+    def test_constant_polynomial(self):
+        f = parse_polynomial("3", 2)
+        assert bound_squarefree(f, 2, exact_range(3, 3)).satisfied
+        with pytest.raises(ValueError, match="refuted"):
+            bound_squarefree(f, 2, exact_range(2, 3))
+
+
 class TestRelaxedProvenance:
     def test_bound_is_widened_and_sound(self):
         f = sum_of_squares(2)

@@ -65,6 +65,10 @@ class TestGridMin:
         code, _, err = run(capsys, "grid-min", "x1^2", "--n", "1", "--r", "0")
         assert code == 3 and "order" in err
 
+    def test_overlong_integer_literal_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "grid-min", "1" * 5000 + "*x1", "--n", "1", "--r", "2")
+        assert code == 2 and "integer literal" in err and "position 0" in err
+
     def test_threads_flag_changes_nothing(self, capsys):
         _, base, _ = run_json(capsys, "grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "5")
         _, threaded, _ = run_json(
@@ -160,6 +164,14 @@ class TestBound:
         assert code == 0
         theorems = [c["theorem"] for c in payload["certificates"]]
         assert theorems == ["general", "general_coefficient_range"]
+
+    def test_contradicted_exact_range_exit_code(self, capsys):
+        # min f = 1/2 on the simplex, and the order-3 grid value 5/9 refutes 5
+        code, out, err = run(
+            capsys, "bound", "x1^2 + x2^2", "--n", "2", "--r", "3",
+            "--theorem", "quad", "--range", "5,7", "--json",
+        )
+        assert code == 3 and out == "" and "refuted" in err
 
     def test_inapplicable_theorem_exit_code(self, capsys):
         code, _, err = run(

@@ -1,14 +1,19 @@
 from fractions import Fraction
+from itertools import zip_longest
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexopt import (
+    GeneralPolynomial,
     GridPoint,
     HomogeneousPolynomial,
     coefficient_range_bounds,
     composition_rank,
     composition_unrank,
+    compositions,
     enumerate_grid,
     evaluate,
     grid_maximize,
@@ -19,6 +24,7 @@ from simplexopt import (
     parse_polynomial,
     sum_of_powers_grid_min,
 )
+from simplexopt.grid import _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
 from conftest import naive_evaluate, random_polynomial
 
 F = Fraction
@@ -269,3 +275,113 @@ class TestStableSetGridProperty:
                 alpha = self.stable_set_number(adj)
                 for r in range(1, 5):
                     assert grid_minimize(f, r).value >= F(1, alpha)
+
+
+def brute_extremum(f, r, prefer_smaller):
+    """Oracle for the block kernel: exact evaluate at every enumerated grid
+    point, keeping the first strict improvement in lexicographic order."""
+    best = best_alpha = None
+    for alpha in enumerate_grid(f.n, r):
+        value = evaluate(f, [F(a, r) for a in alpha])
+        if best is None or (value < best if prefer_smaller else value > best):
+            best, best_alpha = value, alpha
+    return best, best_alpha
+
+
+def scan_both(f, r, threads=None):
+    lo, hi = grid_minimize(f, r, threads=threads), grid_maximize(f, r, threads=threads)
+    return (lo.value, lo.argmin.alpha), (hi.value, hi.argmin.alpha)
+
+
+def coefficients(big):
+    numerators = st.integers(-(10**30), 10**30) if big else st.integers(-9, 9)
+    return st.builds(Fraction, numerators, st.integers(1, 9))
+
+
+@st.composite
+def homogeneous_polynomials(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    support = draw(st.lists(st.sampled_from(list(compositions(n, d))), max_size=6, unique=True))
+    big = draw(st.booleans())
+    return HomogeneousPolynomial(n, d, {beta: draw(coefficients(big)) for beta in support})
+
+
+@st.composite
+def general_polynomials(draw):
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    support = draw(st.lists(exponents, max_size=6, unique=True))
+    big = draw(st.booleans())
+    return GeneralPolynomial(n, {beta: draw(coefficients(big)) for beta in support})
+
+
+class TestBlockKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        f=st.one_of(homogeneous_polynomials(), general_polynomials()),
+        r=st.integers(1, 6),
+    )
+    def test_matches_brute_force_oracle(self, f, r):
+        assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+
+    @pytest.mark.parametrize(
+        "n, r", [(1, 7), (2, 3000), (4, 30), (7, 9), (12, 4), (1100, 1)]
+    )
+    def test_blocks_enumerate_the_grid_in_order(self, n, r):
+        blocks = list(_grid_blocks(n, r))
+        assert all(1 <= b.shape[1] <= _BLOCK_ROWS for b in blocks)
+        columns = (tuple(col) for b in blocks for col in b.T.tolist())
+        assert all(a == b for a, b in zip_longest(columns, enumerate_grid(n, r)))
+
+    def test_grids_larger_than_one_block(self, rng):
+        for n, d, r in [(6, 3, 9), (5, 4, 12), (8, 2, 6)]:
+            assert grid_size(n, r) > _BLOCK_ROWS
+            f = random_polynomial(rng, n, d, max_terms=12)
+            assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+
+    @pytest.mark.parametrize(
+        "text, n, r", [("3", 1, 4), ("2*x1^2", 1, 5), ("x1 - x1", 6, 9), ("-7/3", 6, 9)]
+    )
+    def test_small_cases(self, text, n, r):
+        f = parse_polynomial(text, n)
+        assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+
+    def test_ties_resolve_to_smallest_index_across_blocks(self):
+        zero = parse_polynomial("x1 - x1", 6)
+        first = (0, 0, 0, 0, 0, 9)
+        assert scan_both(zero, 9) == ((0, first), (0, first))
+        # symmetric, so every minimizer's permutations tie with it
+        f = sum_of_powers(6, 2)
+        assert grid_minimize(f, 9).argmin.alpha == (1, 1, 1, 2, 2, 2)
+
+    def test_int64_gate_boundary(self):
+        # the gate bound is sum |c'| * r^d; 2^63 - 1 = 7 * k
+        k = (2**63 - 1) // 7
+        at_limit = HomogeneousPolynomial(2, 1, {(1, 0): 2**59, (0, 1): -(k - 2**59)})
+        past_limit = HomogeneousPolynomial(1, 3, {(3,): 2**54})  # 2^54 * 8^3 = 2^63
+        assert _Kernel(at_limit, 7).dtype is np.int64
+        assert _Kernel(past_limit, 8).dtype is object
+        for f, r in ((at_limit, 7), (past_limit, 8)):
+            assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+        # the largest int64 numerator is reached exactly
+        top = HomogeneousPolynomial(2, 1, {(1, 0): k})
+        assert _Kernel(top, 7).dtype is np.int64
+        assert grid_maximize(top, 7).value * 7 == 2**63 - 1
+        assert grid_maximize(past_limit, 8).value == 2**54
+
+    def test_int64_and_object_paths_agree(self, rng):
+        for _ in range(10):
+            n, d, r = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 8)
+            f = random_polynomial(rng, n, d)
+            lifted = HomogeneousPolynomial(n, d, {b: c * 2**70 for b, c in f.terms.items()})
+            assert _Kernel(f, r).dtype is np.int64 and _Kernel(lifted, r).dtype is object
+            (lo, lo_a), (hi, hi_a) = scan_both(f, r)
+            assert scan_both(lifted, r) == ((lo * 2**70, lo_a), (hi * 2**70, hi_a))
+
+    def test_thread_counts_give_identical_results(self, rng):
+        polys = [random_polynomial(rng, 6, 3, max_terms=20), parse_polynomial("x1 - x1", 6)]
+        big = random_polynomial(rng, 5, 2)
+        polys.append(HomogeneousPolynomial(5, 2, {b: c * 10**25 for b, c in big.terms.items()}))
+        for f in polys:
+            results = {scan_both(f, 12, threads=t) for t in (1, 2, 5)}
+            assert len(results) == 1

@@ -71,6 +71,8 @@ class TestParsing:
             ("x1 * 3", "expected variable"),
             ("", "empty"),
             ("x1 $ x2", "unexpected character"),
+            ("1" * 5000 + "*x1", "integer literal"),
+            ("x1\u00b2", "integer literal"),
         ],
     )
     def test_rejections(self, text, fragment):
