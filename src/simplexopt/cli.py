@@ -363,7 +363,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--threads", type=int, default=None, help="grid scan workers (default: SIMPLEX_THREADS or available parallelism)")
+    common.add_argument("--threads", type=int, default=None, help="accepted for compatibility; every grid scan runs in one thread")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized verification")
 
     parser = argparse.ArgumentParser(

@@ -17,10 +17,8 @@ of Python ints, so results are exact either way.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb, lcm
 from random import Random
 from typing import Iterator
@@ -134,73 +132,108 @@ def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiInde
 # ---------------------------------------------------------------------------
 
 
-# Grid points per kernel block: large enough that numpy's per-call overhead
-# is spread over many points, small enough that a block's working set (its
-# index vectors, one int64 or object row per variable, two accumulators)
-# stays small.
+# A block holds at most _BLOCK_ROWS grid points and at most _BLOCK_CELLS
+# index-vector entries (n * rows), so wide grids get narrower blocks: large
+# enough that numpy's per-call overhead is spread over many points, small
+# enough that a block's working set (its index vectors, one int64 or object
+# row per variable, two accumulators) stays small.  A scan's suffix tables
+# are trimmed when they pass the same number of entries.
 _BLOCK_ROWS = 1024
+_BLOCK_CELLS = 1 << 17
 _INT64_MAX = 2**63 - 1
 
 
-def _suffix_table(tables: dict, m: int, s: int, dtype: np.dtype) -> np.ndarray:
-    """(m, C(s+m-1, s)) array of every composition of s into m parts, one per
-    column, in lexicographic order; memoised in `tables`.
+class _SuffixTables:
+    """Per-scan memo of the (m, C(s+m-1, s)) arrays of every composition of
+    s into m parts, one per column, in lexicographic order.
 
     The compositions whose first part is 0 are those of s into m-1 parts
     behind a 0; the rest are the compositions of s-1 into m parts with the
-    first part raised by one.  So the table for (m, s) needs every table
-    (j, k) with j <= m, k <= s, which are built in that order without
-    recursion.
+    first part raised by one.  So table (m, s) is built from table (m-1, s)
+    and table (m, s-1), row m of the triangle from row m-1.  A row j holds
+    the tables (j, 0..k) built so far.  When the memo passes _BLOCK_CELLS
+    entries, every row but the last two built is dropped, so a table for
+    many parts, e.g. (m, 1) with its m^2 entries, never keeps the whole
+    triangle below it alive.  One and two parts have closed forms, so a
+    large total never builds a long row of tiny tables, and nor does a zero
+    total over many parts.
     """
-    if (m, s) not in tables:
-        for j in range(1, m + 1):
-            for k in range(s + 1):
-                if (j, k) in tables:
-                    continue
+
+    def __init__(self, dtype: np.dtype):
+        self.dtype = dtype
+        self.rows: dict[int, list[np.ndarray]] = {}
+        self.held = 0
+
+    def get(self, m: int, s: int) -> np.ndarray:
+        if len(self.rows.get(m, ())) > s:
+            return self.rows[m][s]
+        if s == 0:
+            return np.zeros((m, 1), self.dtype)
+        if m == 1:
+            return np.full((1, 1), s, self.dtype)
+        if m == 2:
+            first = np.arange(s + 1, dtype=self.dtype)
+            return np.stack((first, s - first))
+        # rebuild from the deepest row that already reaches total s
+        low = m
+        while low > 1 and len(self.rows.get(low - 1, ())) <= s:
+            low -= 1
+        for j in range(low, m + 1):
+            row = self.rows.setdefault(j, [])
+            for k in range(len(row), s + 1):
                 if j == 1:
-                    t = np.full((1, 1), k, dtype)
+                    t = np.full((1, 1), k, self.dtype)
                 elif k == 0:
-                    t = np.zeros((j, 1), dtype)
+                    t = np.zeros((j, 1), self.dtype)
                 else:
-                    zero_first, raised = tables[(j - 1, k)], tables[(j, k - 1)]
+                    zero_first, raised = self.rows[j - 1][k], row[k - 1]
                     w = zero_first.shape[1]
-                    t = np.empty((j, w + raised.shape[1]), dtype)
+                    t = np.empty((j, w + raised.shape[1]), self.dtype)
                     t[0, :w] = 0
                     t[1:, :w] = zero_first
                     t[:, w:] = raised
                     t[0, w:] += 1
-                tables[(j, k)] = t
-    return tables[(m, s)]
+                row.append(t)
+                self.held += t.size
+            if self.held > _BLOCK_CELLS:
+                self.rows = {i: self.rows[i] for i in (j - 1, j) if i in self.rows}
+                self.held = sum(t.size for row in self.rows.values() for t in row)
+        return self.rows[m][s]
 
 
 def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
     """Yield the order-r grid as (n, rows) arrays of index vectors, one
-    vector per column, in ascending lexicographic order, at most _BLOCK_ROWS
-    columns per block, in the smallest integer dtype that holds r.
+    vector per column, in ascending lexicographic order, in the smallest
+    integer dtype that holds r.  No block has more than _BLOCK_ROWS columns
+    or more than _BLOCK_CELLS entries.
 
     A block is stitched from pieces "fixed prefix + every composition of the
-    remaining total over the remaining slots"; the suffix tables are memoised
-    for this scan only and dropped when the generator finishes.
+    remaining total over the remaining slots"; the suffix tables are
+    memoised for this scan only and dropped when the generator finishes.
     """
     dtype = np.min_scalar_type(r)
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    block = np.empty((n, _BLOCK_ROWS), dtype)
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
+    tables = _SuffixTables(dtype)
+    prefix = np.zeros(n, dtype)
+    block = np.empty((n, rows), dtype)
     filled = 0
-    stack = [((), n, r)]  # depth-first over prefixes, smallest first
+    # depth-first over prefixes, smallest first; an entry (k, v, m, s) is the
+    # prefix of length k that ends in v, with total s left over m slots
+    stack = [(0, 0, n, r)]
     while stack:
-        prefix, m, s = stack.pop()
-        width = comb(s + m - 1, s)
-        if width > _BLOCK_ROWS:
-            stack.extend((prefix + (v,), m - 1, s - v) for v in range(s, -1, -1))
-            continue
-        if filled + width > _BLOCK_ROWS:
-            yield block[:, :filled]
-            block = np.empty((n, _BLOCK_ROWS), dtype)
-            filled = 0
-        k = len(prefix)
+        k, v, m, s = stack.pop()
         if k:
-            block[:k, filled : filled + width] = np.array(prefix, dtype)[:, None]
-        block[k:, filled : filled + width] = _suffix_table(tables, m, s, dtype)
+            prefix[k - 1] = v
+        width = comb(s + m - 1, s)
+        if width > rows:
+            stack.extend((k + 1, u, m - 1, s - u) for u in range(s, -1, -1))
+            continue
+        if filled + width > rows:
+            yield block[:, :filled]
+            block = np.empty((n, rows), dtype)
+            filled = 0
+        block[:k, filled : filled + width] = prefix[:k, None]
+        block[k:, filled : filled + width] = tables.get(m, s)
         filled += width
     yield block[:, :filled]
 
@@ -254,60 +287,40 @@ class _Kernel:
         return out
 
 
-def _scan_extremum(
-    f: Polynomial, r: int, prefer_smaller: bool, threads: int | None
-) -> GridMinimum:
+def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"grid order must be an integer >= 1, got {r!r}")
     kernel = _Kernel(f, r)
-    total = grid_size(f.n, r)
-
-    def best_of(block: np.ndarray) -> tuple[int, np.ndarray]:
+    best_v: int | None = None
+    best_a: list[int] = []
+    for block in _grid_blocks(f.n, r):
         values = kernel.values(block)
         # argmin/argmax return the first occurrence: the lexicographically
-        # smallest index vector among the block's ties
+        # smallest index vector among the block's ties, and a later block
+        # must improve strictly to displace an earlier one
         j = int(values.argmin() if prefer_smaller else values.argmax())
-        return int(values[j]), block[:, j]
-
-    def better(v: int, best: int | None) -> bool:
-        return best is None or (v < best if prefer_smaller else v > best)
-
-    best_v: int | None = None
-    best_a = None
-    workers = threads or 1
-    blocks = _grid_blocks(f.n, r)
-    if workers <= 1 or total <= _BLOCK_ROWS:
-        for v, a in map(best_of, blocks):
-            if better(v, best_v):
-                best_v, best_a = v, a
-    else:
-        # Blocks are evaluated `workers` at a time and merged in block order:
-        # a strict improvement is required to displace an earlier block's
-        # witness, so the result does not depend on scheduling.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while batch := list(islice(blocks, workers)):
-                for v, a in pool.map(best_of, batch):
-                    if better(v, best_v):
-                        best_v, best_a = v, a
+        v = int(values[j])
+        if best_v is None or (v < best_v if prefer_smaller else v > best_v):
+            best_v, best_a = v, block[:, j].tolist()
     assert best_v is not None
-    alpha = tuple(int(x) for x in best_a)
-    return GridMinimum(Fraction(best_v, kernel.denom), GridPoint(alpha, r), total)
+    point = GridPoint(tuple(best_a), r)
+    return GridMinimum(Fraction(best_v, kernel.denom), point, grid_size(f.n, r))
 
 
 def grid_minimize(f: Polynomial, r: int, threads: int | None = None) -> GridMinimum:
     """Exact minimum of f over the order-r grid.
 
-    Ties break to the lexicographically smallest index vector; partitioned
-    parallel scans return the identical (value, argmin) pair as the
-    sequential scan.
+    Ties break to the lexicographically smallest index vector.  `threads` is
+    accepted for compatibility and has no effect: the block kernel runs in
+    one thread, which measured faster than a thread pool over its blocks.
     """
-    return _scan_extremum(f, r, prefer_smaller=True, threads=threads)
+    return _scan_extremum(f, r, prefer_smaller=True)
 
 
 def grid_maximize(f: Polynomial, r: int, threads: int | None = None) -> GridMinimum:
     """Exact maximum of f over the order-r grid, same contract as
     grid_minimize (argmin field holds the maximizing point)."""
-    return _scan_extremum(f, r, prefer_smaller=False, threads=threads)
+    return _scan_extremum(f, r, prefer_smaller=False)
 
 
 def sum_of_powers_grid_min(n: int, r: int, d: int) -> Fraction:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import zip_longest
 from random import Random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from simplexopt import (
     parse_polynomial,
     sum_of_powers_grid_min,
 )
-from simplexopt.grid import _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
+from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
 from conftest import naive_evaluate, random_polynomial
 
 F = Fraction
@@ -329,9 +330,22 @@ class TestBlockKernel:
     )
     def test_blocks_enumerate_the_grid_in_order(self, n, r):
         blocks = list(_grid_blocks(n, r))
-        assert all(1 <= b.shape[1] <= _BLOCK_ROWS for b in blocks)
+        assert all(1 <= b.shape[1] <= _BLOCK_ROWS and b.size <= _BLOCK_CELLS for b in blocks)
         columns = (tuple(col) for b in blocks for col in b.T.tolist())
         assert all(a == b for a, b in zip_longest(columns, enumerate_grid(n, r)))
+
+    @pytest.mark.parametrize("n, r", [(1100, 1), (400, 2), (2, 1000)])
+    def test_wide_grids_stream_in_bounded_memory(self, n, r):
+        # a table for many parts and a small total, e.g. (m, 1) with m^2
+        # entries, must not keep the whole triangle of smaller tables alive
+        tracemalloc.start()
+        try:
+            points = sum(b.shape[1] for b in _grid_blocks(n, r))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points == grid_size(n, r)
+        assert peak < 2 * 2**20
 
     def test_grids_larger_than_one_block(self, rng):
         for n, d, r in [(6, 3, 9), (5, 4, 12), (8, 2, 6)]:
