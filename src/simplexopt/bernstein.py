@@ -215,7 +215,9 @@ def _check_moment_order(n: int, beta: Sequence[int]) -> MultiIndex:
     return order
 
 
-@lru_cache(maxsize=4096)
+# Fewer than 128 points enter per benchmark pass or quick selftest, and every
+# reuse falls within one; a larger cache only keeps dead tables alive.
+@lru_cache(maxsize=128)
 def _probability_numerators(n: int, r: int, a: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
     """Integer numerators (over denominator sum(a)^r) of the multinomial
     probabilities (r!/alpha!) x^alpha for x = a / sum(a), dropping zeros."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, perm
 from typing import Iterator, Sequence
+
+import numpy as np
 
 # Exponent/count vector: element i is a nonnegative integer.  Tuples compare
 # lexicographically, which is the canonical order used throughout.
@@ -141,8 +142,17 @@ def surjection_count(d: int, k: int) -> int:
     read off directly (k when the prefix already covers everything, 1 when
     exactly one value is missing, 0 otherwise).
 
-    Oracle-only: equals k!·S(d, k), and d is capped at 10 to keep the
-    enumeration honest about its cost.
+    The walk runs in numpy blocks.  A prefix splits into head digits and its
+    last L elements, with k^L <= 2^17 (the block budget of the grid scan).
+    One uint16 array holds the bitmask of the values covered by each of the
+    k^L tail assignments; for every head, in a Python loop, the head's mask
+    is ORed into that array and each of the k^(d-1) prefixes is weighed
+    through a 2^k-entry table indexed by its covered set.  For k > d there is
+    no surjection (pigeonhole) and 0 is returned before any work, so masks
+    never need more than d <= 10 bits.
+
+    Oracle-only: equals k!·S(d, k) and uses neither, and d is capped at 10
+    to keep the enumeration honest about its cost.
     """
     if d < 0 or k < 0:
         raise ValueError(f"arguments must be nonnegative, got ({d}, {k})")
@@ -150,16 +160,38 @@ def surjection_count(d: int, k: int) -> int:
         raise ValueError(f"brute-force surjection count capped at d <= 10, got {d}")
     if k == 0:
         return 1 if d == 0 else 0
-    if d == 0:
+    if k > d:
         return 0
+    # images left for the last element, by the bitmask a prefix covers:
+    # k when no value is missing, 1 when one is, 0 otherwise
+    missing = (k - bin(mask).count("1") for mask in range(1 << k))
+    weights = np.array([{0: k, 1: 1}.get(m, 0) for m in missing], np.uint8)
+    tail = 0
+    while tail < d - 1 and k ** (tail + 1) <= _SURJECTION_CELLS:
+        tail += 1
+    tails = _cover_masks(k, tail)
+    covered = np.empty_like(tails)
+    weighed = np.empty(tails.shape, np.uint8)
     count = 0
-    for prefix in product(range(k), repeat=d - 1):
-        covered = len(set(prefix))
-        if covered == k:
-            count += k
-        elif covered == k - 1:
-            count += 1
+    for head in _cover_masks(k, d - 1 - tail).tolist():
+        np.bitwise_or(tails, head, out=covered)
+        np.take(weights, covered, out=weighed)
+        count += int(weighed.sum(dtype=np.int64))
     return count
+
+
+# Entries in the surjection walk's mask array: a grid block's budget.
+_SURJECTION_CELLS = 1 << 17
+
+
+def _cover_masks(k: int, length: int) -> np.ndarray:
+    """Bitmask of the values covered by each of the k^length maps of a
+    length-element set into range(k), in lexicographic order of the maps."""
+    bits = (1 << np.arange(k)).astype(np.uint16)
+    masks = np.zeros(1, np.uint16)
+    for _ in range(length):
+        masks = (masks[:, None] | bits).ravel()
+    return masks
 
 
 def falling_sum_sides(d: int, r: int) -> tuple[int, int]:

@@ -209,7 +209,10 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
 
     A block is stitched from pieces "fixed prefix + every composition of the
     remaining total over the remaining slots"; the suffix tables are
-    memoised for this scan only and dropped when the generator finishes.
+    memoised for this scan only and dropped when the generator finishes.  A
+    piece wider than a block is split by its next entry, except a piece with
+    total 1, which is written in closed form across as many blocks as it
+    fills.
     """
     dtype = np.min_scalar_type(r)
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
@@ -225,6 +228,23 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
         if k:
             prefix[k - 1] = v
         width = comb(s + m - 1, s)
+        if width > rows and s == 1:
+            # the (m, 1) table in closed form, a slice of columns at a time:
+            # its column c has the 1 in row m-1-c
+            c = 0
+            while c < m:
+                if filled == rows:
+                    yield block
+                    block = np.empty((n, rows), dtype)
+                    filled = 0
+                cols = np.arange(min(m - c, rows - filled))
+                piece = block[:, filled : filled + cols.size]
+                piece[:k] = prefix[:k, None]
+                piece[k:] = 0
+                piece[k + m - 1 - c - cols, cols] = 1
+                filled += cols.size
+                c += cols.size
+            continue
         if width > rows:
             stack.extend((k + 1, u, m - 1, s - u) for u in range(s, -1, -1))
             continue

@@ -119,10 +119,6 @@ def scale(f: HomogeneousPolynomial, c: RationalLike) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(f.n, f.d, {b: v * factor for b, v in f.terms.items()})
 
 
-def as_general(f: HomogeneousPolynomial) -> GeneralPolynomial:
-    return GeneralPolynomial(f.n, dict(f.terms))
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 #
@@ -435,7 +431,10 @@ def parse_graph(text: str) -> list[list[int]]:
                 body = body[1:]  # tolerate the usual "p edge n m" variant
             if len(body) != 2 or not all(w.isdigit() for w in body):
                 raise ParseError("header must read 'p <n> <m>'", lineno)
-            n, declared = int(body[0]), int(body[1])
+            try:
+                n, declared = int(body[0]), int(body[1])
+            except ValueError:  # more digits than int() accepts, or non-ASCII digits
+                raise ParseError("unreadable number in 'p' header", lineno) from None
             if n < 1:
                 raise ParseError("graph must have at least one vertex", lineno)
         elif fields[0] == "e":
@@ -443,7 +442,10 @@ def parse_graph(text: str) -> list[list[int]]:
                 raise ParseError("edge line before 'p' header", lineno)
             if len(fields) != 3 or not all(w.isdigit() for w in fields[1:]):
                 raise ParseError("edge line must read 'e <i> <j>'", lineno)
-            i, j = int(fields[1]), int(fields[2])
+            try:
+                i, j = int(fields[1]), int(fields[2])
+            except ValueError:  # more digits than int() accepts, or non-ASCII digits
+                raise ParseError("unreadable vertex number in 'e' line", lineno) from None
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(f"edge endpoint out of range 1..{n}", lineno)
             if i == j:

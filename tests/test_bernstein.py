@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from simplexopt import (
     bernstein_definitional,
     bernstein_quadratic,
     bernstein_squarefree,
+    enumerate_grid,
     equal_on_simplex,
     evaluate,
     falling_factorial,
@@ -314,6 +316,15 @@ class TestMoments:
                     if e:
                         xprod *= v
                 assert moment_direct(n, r, beta, x) == falling_factorial(r, k) * xprod
+
+    def test_probability_table_cache_is_bounded(self):
+        from simplexopt.bernstein import _probability_numerators
+
+        points = islice(enumerate_grid(3, 37), 200)
+        for alpha in points:
+            x = [F(a, 37) for a in alpha]
+            assert moment_direct(3, 2, (1, 1, 0), x) == moment_stirling(3, 2, (1, 1, 0), x)
+        assert _probability_numerators.cache_info().currsize <= 128
 
     def test_rejects_points_off_the_simplex(self):
         with pytest.raises(ValueError):

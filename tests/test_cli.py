@@ -245,6 +245,18 @@ class TestStableSet:
         code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
         assert code == 2 and "out of range" in err
 
+    def test_header_number_too_long_for_int(self, capsys, tmp_path):
+        graph = tmp_path / "huge.dimacs"
+        graph.write_text("p 1" + "0" * 5000 + " 0\n", encoding="utf-8")
+        code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
+        assert code == 2 and "unreadable number" in err
+
+    def test_edge_field_with_non_ascii_digit(self, capsys, tmp_path):
+        graph = tmp_path / "superscript.dimacs"
+        graph.write_text("p 2 1\ne 1 ²\n", encoding="utf-8")
+        code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
+        assert code == 2 and "unreadable vertex number" in err
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+import tracemalloc
 
 import pytest
 
+from simplexopt import combinatorics
 from simplexopt.combinatorics import (
     StirlingTable,
     check_identity_falling_sum,
@@ -130,6 +132,34 @@ class TestSurjections:
         for d in range(0, 9):
             for k in range(0, d + 1):
                 assert surjection_count(d, k) == factorial(k) * stirling2(d, k)
+
+    # (10, 10) is checked by the memory test below
+    @pytest.mark.parametrize("d, ks", [(9, range(0, 10)), (10, (9,))])
+    def test_matches_stirling_at_the_largest_degrees(self, d, ks):
+        from math import factorial
+
+        for k in ks:
+            assert surjection_count(d, k) == factorial(k) * stirling2(d, k)
+
+    @pytest.mark.parametrize("d, k", [(0, 1), (3, 4), (9, 10), (9, 30), (10, 10**6)])
+    def test_more_values_than_elements_is_zero_at_once(self, monkeypatch, d, k):
+        def no_walk(*args):
+            raise AssertionError("pigeonhole case walked its maps")
+
+        monkeypatch.setattr(combinatorics, "_cover_masks", no_walk)
+        assert surjection_count(d, k) == 0
+
+    def test_largest_walk_runs_in_bounded_memory(self):
+        from math import factorial
+
+        tracemalloc.start()
+        try:
+            count = surjection_count(10, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == factorial(10) * stirling2(10, 10)
+        assert peak < 4 * 2**20
 
     def test_brute_force_guard(self):
         with pytest.raises(ValueError):

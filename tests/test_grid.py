@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import zip_longest
+from collections import deque
+from itertools import islice, zip_longest
 from random import Random
 import tracemalloc
 
@@ -25,6 +26,7 @@ from simplexopt import (
     parse_polynomial,
     sum_of_powers_grid_min,
 )
+from simplexopt import grid as grid_module
 from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
 from conftest import naive_evaluate, random_polynomial
 
@@ -333,6 +335,46 @@ class TestBlockKernel:
         assert all(1 <= b.shape[1] <= _BLOCK_ROWS and b.size <= _BLOCK_CELLS for b in blocks)
         columns = (tuple(col) for b in blocks for col in b.T.tolist())
         assert all(a == b for a, b in zip_longest(columns, enumerate_grid(n, r)))
+
+    @pytest.mark.parametrize("n, r, block_rows", [(1000, 2, _BLOCK_ROWS), (300, 1, 64)])
+    def test_wide_total_one_pieces_are_sliced_in_order(self, monkeypatch, n, r, block_rows):
+        # an (m, 1) piece wider than a block is written in closed form, never
+        # built as a table nor split into single points
+        monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
+        rows = min(block_rows, _BLOCK_CELLS // n)
+        requested = []
+        get = grid_module._SuffixTables.get
+        monkeypatch.setattr(
+            grid_module._SuffixTables,
+            "get",
+            lambda tables, m, s: requested.append((m, s)) or get(tables, m, s),
+        )
+        total = grid_size(n, r)
+        head = min(total, 2000)
+        start, end = [], deque(maxlen=head // rows + 2)
+        last, points = None, 0
+        # every column is a grid point, each one lexicographically after the
+        # one before, and there are as many as grid points: the whole grid
+        # in enumerate_grid's order
+        for b in _grid_blocks(n, r):
+            assert 1 <= b.shape[1] <= rows
+            cols = b.astype(np.int16)
+            assert (cols.sum(axis=0) == r).all()
+            if last is not None:
+                cols = np.hstack((last, cols))
+            step = np.diff(cols, axis=1)
+            first = (step != 0).argmax(axis=0)
+            assert (step[first, np.arange(step.shape[1])] > 0).all()
+            last = cols[:, -1:]
+            if points < head:
+                start.append(b)
+            end.append(b)
+            points += b.shape[1]
+        assert points == total
+        assert not [(m, s) for m, s in requested if s == 1 and m > rows]
+        # and, read off at both ends, the very points enumerate_grid yields
+        assert np.hstack(start)[:, :head].T.tolist() == list(map(list, islice(enumerate_grid(n, r), head)))
+        assert np.hstack(end)[:, -head:].T.tolist() == list(map(list, iter_grid_range(n, r, total - head, total)))
 
     @pytest.mark.parametrize("n, r", [(1100, 1), (400, 2), (2, 1000)])
     def test_wide_grids_stream_in_bounded_memory(self, n, r):
