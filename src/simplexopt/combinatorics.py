@@ -2,8 +2,10 @@
 
 Falling factorials, Stirling numbers of the second kind, multinomial
 coefficients, plus the two identities the general error-bound analysis rests
-on, each paired with a brute-force oracle.  Everything here is arbitrary
-precision integer arithmetic; nothing overflows silently.
+on, each paired with a brute-force oracle.  Everything here is exact
+integer arithmetic: arbitrary precision, except the surjection walk's numpy
+blocks, whose masks and per-block sums are bounded far below their dtypes;
+nothing overflows silently.
 """
 
 from __future__ import annotations
@@ -135,6 +137,20 @@ def multinomial(r: int, alpha: Sequence[int]) -> int:
     return out
 
 
+# Entries in the surjection walk's mask array: a grid block's budget.
+_SURJECTION_CELLS = 1 << 17
+
+
+def _cover_masks(k: int, length: int) -> np.ndarray:
+    """Bitmask of the values covered by each of the k^length maps of a
+    length-element set into range(k), in lexicographic order of the maps."""
+    bits = (1 << np.arange(k)).astype(np.uint16)
+    masks = np.zeros(1, np.uint16)
+    for _ in range(length):
+        masks = (masks[:, None] | bits).ravel()
+    return masks
+
+
 def surjection_count(d: int, k: int) -> int:
     """Count surjections from a d-element set onto a k-element set by
     exhaustively enumerating maps: every assignment of the first d-1 elements
@@ -178,20 +194,6 @@ def surjection_count(d: int, k: int) -> int:
         np.take(weights, covered, out=weighed)
         count += int(weighed.sum(dtype=np.int64))
     return count
-
-
-# Entries in the surjection walk's mask array: a grid block's budget.
-_SURJECTION_CELLS = 1 << 17
-
-
-def _cover_masks(k: int, length: int) -> np.ndarray:
-    """Bitmask of the values covered by each of the k^length maps of a
-    length-element set into range(k), in lexicographic order of the maps."""
-    bits = (1 << np.arange(k)).astype(np.uint16)
-    masks = np.zeros(1, np.uint16)
-    for _ in range(length):
-        masks = (masks[:, None] | bits).ravel()
-    return masks
 
 
 def falling_sum_sides(d: int, r: int) -> tuple[int, int]:

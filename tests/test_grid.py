@@ -338,7 +338,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n, r, block_rows", [(1000, 2, _BLOCK_ROWS), (300, 1, 64)])
     def test_wide_total_one_pieces_are_sliced_in_order(self, monkeypatch, n, r, block_rows):
-        # an (m, 1) piece wider than a block is written in closed form, never
+        # an (m, 1) piece wider than a block is written in closed form, not
         # built as a table nor split into single points
         monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
         rows = min(block_rows, _BLOCK_CELLS // n)
@@ -352,7 +352,7 @@ class TestBlockKernel:
         total = grid_size(n, r)
         head = min(total, 2000)
         start, end = [], deque(maxlen=head // rows + 2)
-        last, points = None, 0
+        last, points, blocks = None, 0, 0
         # every column is a grid point, each one lexicographically after the
         # one before, and there are as many as grid points: the whole grid
         # in enumerate_grid's order
@@ -370,8 +370,12 @@ class TestBlockKernel:
                 start.append(b)
             end.append(b)
             points += b.shape[1]
+            blocks += 1
         assert points == total
+        # no wide (m, 1) table, and fewer lookups than blocks: a split into
+        # single points would take a lookup per point
         assert not [(m, s) for m, s in requested if s == 1 and m > rows]
+        assert len(requested) < blocks
         # and, read off at both ends, the very points enumerate_grid yields
         assert np.hstack(start)[:, :head].T.tolist() == list(map(list, islice(enumerate_grid(n, r), head)))
         assert np.hstack(end)[:, -head:].T.tolist() == list(map(list, iter_grid_range(n, r, total - head, total)))
