@@ -25,6 +25,7 @@ from .bounds import (
     THEOREM_GENERAL,
     THEOREM_QUADRATIC,
     THEOREM_SQUAREFREE,
+    _rat,
     _select_theorem,
     bound_cubic,
     bound_general,
@@ -54,10 +55,6 @@ class _InputError(Exception):
 
 class _InternalError(Exception):
     pass
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _rat_text(v: Fraction) -> str:

@@ -9,10 +9,13 @@ tie-break.
 
 Every grid scan runs through one vectorized kernel: the grid is produced as
 numpy blocks of index vectors and the polynomial, compiled to integer
-numerators over a common denominator, is evaluated a block at a time.  The
-kernel uses int64 arithmetic only when an a-priori bound proves that no
-product or partial sum can overflow; otherwise the same code runs on arrays
-of Python ints, so results are exact either way.
+numerators over a common denominator, is evaluated a block at a time in
+int64.  An a-priori bound decides how: one int64 row when no product or
+partial sum can overflow, otherwise several int64 limbs, each coefficient
+split into signed base-2^s digits under a 2^61 per-limb budget and the
+carries normalized after each block.  Only when the monomials alone leave no
+room for such digits does the same code run on arrays of Python ints.
+Results are exact either way.
 """
 
 from __future__ import annotations
@@ -141,6 +144,7 @@ def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiInde
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 17
 _INT64_MAX = 2**63 - 1
+_LIMB_BUDGET = 2**61
 
 
 class _SuffixTables:
@@ -263,48 +267,118 @@ class _Kernel:
 
     At the grid point alpha/r the value of f is values(alpha) / denom with a
     fixed positive integer denom, so value comparisons are integer
-    comparisons.  Each term keeps its integer-cleared coefficient (times
+    comparisons.  Each term keeps its integer-cleared coefficient c' (times
     r^deficit for terms below the top degree) and its variables, each
-    repeated as often as its exponent.  Every product and partial sum the
-    evaluation forms is bounded in absolute value by
-    sum |coefficient| * r^degree, so the int64 dtype is used only when that
-    bound fits; otherwise the same arrays hold Python ints (dtype=object).
+    repeated as often as its exponent, so its monomial at alpha is at most
+    r^degree in absolute value.
+
+    The arithmetic is int64 throughout when the input allows it.  If
+    sum |c'| * r^degree <= 2^63 - 1, no product or partial sum can overflow
+    and each block is evaluated in one int64 row (limbs == 1).  Otherwise
+    every c' is split into `limbs` signed base-2^s digits, the sign of c' on
+    each, with s the largest width such that
+    terms * (2^s - 1) * r^degree <= 2^61.  Limb l accumulates
+    monomial * digit_l over the terms, so no limb passes 2^61 before
+    normalization; carries then run from the low limb up (carry =
+    acc[l] >> s, acc[l] &= 2^s - 1), which leaves every limb but the top one
+    in [0, 2^s) and every intermediate below 2^62.  After that, the value
+    order of the block is the lexicographic order of (acc[L-1], ..., acc[0]).
+    Only when the monomial bound leaves no room for two-bit digits (s < 2)
+    do the arrays hold Python ints instead (dtype=object).
     """
 
     def __init__(self, f: Polynomial, r: int):
         dmax = f.d if isinstance(f, HomogeneousPolynomial) else f.degree()
         cden = lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
-        self.terms = []
+        factors_of, coeffs = [], []
         for beta, c in f.terms.items():
             factors = tuple(i for i, e in enumerate(beta) for _ in range(e))
-            deficit = dmax - len(factors)
-            self.terms.append((c.numerator * (cden // c.denominator) * r**deficit, factors))
+            factors_of.append(factors)
+            coeffs.append(c.numerator * (cden // c.denominator) * r ** (dmax - len(factors)))
         self.denom = cden * r**dmax
-        bound = sum(abs(c) for c, _ in self.terms) * r**dmax
-        self.dtype = np.int64 if bound <= _INT64_MAX else object
-        self.variables = sorted({i for _, factors in self.terms for i in factors})
+        self.dtype: type = np.int64
+        self.limbs, self.shift = 1, 0
+        if sum(map(abs, coeffs)) * r**dmax > _INT64_MAX:
+            # the widest digit with terms * (2^shift - 1) * r^dmax <= 2^61
+            shift = (_LIMB_BUDGET // (len(coeffs) * r**dmax) + 1).bit_length() - 1
+            if shift < 2:
+                self.dtype = object
+            else:
+                self.shift = shift
+                self.limbs = -(-max(map(abs, coeffs)).bit_length() // shift)
+        # per term: its coefficient, or the column of its digits, and its
+        # variables
+        self.terms = []
+        for c, factors in zip(coeffs, factors_of):
+            if self.limbs > 1:
+                mask, sign = (1 << shift) - 1, (-1 if c < 0 else 1)
+                digits = [((abs(c) >> (shift * l)) & mask) * sign for l in range(self.limbs)]
+                c = np.array(digits, dtype=np.int64)[:, None]
+            self.terms.append((c, factors))
+        self.variables = sorted({i for factors in factors_of for i in factors})
 
-    def values(self, block: np.ndarray) -> np.ndarray:
-        """Numerators of f at every index vector (column) of a block."""
+    def _limbs(self, block: np.ndarray) -> np.ndarray:
+        """(limbs, rows) array whose limb l holds the base-2^shift digit l
+        of each column's numerator, carries normalized so that every limb
+        but the top one lies in [0, 2^shift)."""
         rows = {i: block[i].astype(self.dtype) for i in self.variables}
-        out = np.zeros(block.shape[1], dtype=self.dtype)
+        # one limb stays one-dimensional: the same numpy calls on (1, rows)
+        # arrays measured slower per block than on (rows,) arrays
+        shape = (self.limbs, block.shape[1]) if self.limbs > 1 else block.shape[1]
+        out = np.zeros(shape, dtype=self.dtype)
         prod = np.empty_like(out)
+        monomial = np.empty(block.shape[1], dtype=self.dtype)
         for coeff, factors in self.terms:
             if not factors:
                 out += coeff
                 continue
             # the coefficient goes in last: on the object path the products
             # of grid entries are cheap and only two big-integer operations
-            # per point remain
+            # per point remain.  A column of digits scales the one monomial
+            # row into every limb row
             if len(factors) == 1:
                 np.multiply(rows[factors[0]], coeff, out=prod)
             else:
-                np.multiply(rows[factors[0]], rows[factors[1]], out=prod)
+                np.multiply(rows[factors[0]], rows[factors[1]], out=monomial)
                 for i in factors[2:]:
-                    prod *= rows[i]
-                prod *= coeff
+                    monomial *= rows[i]
+                np.multiply(monomial, coeff, out=prod)
             out += prod
+        acc = out.reshape(self.limbs, -1)
+        for l in range(self.limbs - 1):
+            acc[l + 1] += acc[l] >> self.shift
+            acc[l] &= (1 << self.shift) - 1
+        return acc
+
+    def values(self, block: np.ndarray) -> np.ndarray:
+        """Numerators of f at every index vector (column) of a block: int64
+        when one limb holds them, Python ints otherwise."""
+        acc = self._limbs(block)
+        if self.limbs == 1:
+            return acc[0]
+        out = acc[-1].astype(object)
+        for l in range(self.limbs - 2, -1, -1):
+            out = (out << self.shift) + acc[l]
         return out
+
+    def extremum(self, block: np.ndarray, prefer_smaller: bool) -> tuple[int, int]:
+        """(column, numerator) of the block's smallest or largest value; the
+        first such column among ties."""
+        acc = self._limbs(block)
+        top = acc[-1]
+        j = int(top.argmin() if prefer_smaller else top.argmax())
+        if self.limbs == 1:
+            return j, int(top[j])
+        # narrow the top limb's ties limb by limb; flatnonzero keeps them in
+        # column order, so the first survivor is the first tie
+        ties = np.flatnonzero(top == top[j])
+        for l in range(self.limbs - 2, -1, -1):
+            if ties.size == 1:
+                break
+            lower = acc[l, ties]
+            ties = ties[lower == (lower.min() if prefer_smaller else lower.max())]
+        j = int(ties[0])
+        return j, sum(int(acc[l, j]) << (self.shift * l) for l in range(self.limbs))
 
 
 def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
@@ -314,12 +388,10 @@ def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
     best_v: int | None = None
     best_a: list[int] = []
     for block in _grid_blocks(f.n, r):
-        values = kernel.values(block)
-        # argmin/argmax return the first occurrence: the lexicographically
-        # smallest index vector among the block's ties, and a later block
-        # must improve strictly to displace an earlier one
-        j = int(values.argmin() if prefer_smaller else values.argmax())
-        v = int(values[j])
+        # the block's first extremal column is its lexicographically
+        # smallest index vector among ties, and a later block must improve
+        # strictly to displace an earlier one
+        j, v = kernel.extremum(block, prefer_smaller)
         if best_v is None or (v < best_v if prefer_smaller else v > best_v):
             best_v, best_a = v, block[:, j].tolist()
     assert best_v is not None

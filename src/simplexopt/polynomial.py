@@ -411,10 +411,16 @@ def motzkin_straus(adjacency: Sequence[Sequence[int]]) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(n, 2, terms)
 
 
+# The adjacency matrix has n^2 entries, and the stable-set form and its grid
+# scan grow with it, so a header may declare at most this many vertices.
+MAX_GRAPH_VERTICES = 1000
+
+
 def parse_graph(text: str) -> list[list[int]]:
     """Parse a DIMACS-like edge list: a header line "p <n> <m>" followed by m
     lines "e <i> <j>" with 1-indexed endpoints.  Comment lines starting with
-    'c' are skipped.  Returns the n x n adjacency matrix."""
+    'c' are skipped.  Returns the n x n adjacency matrix.  A header with more
+    than MAX_GRAPH_VERTICES vertices is rejected before anything is built."""
     n: int | None = None
     declared = 0
     edges: list[tuple[int, int]] = []
@@ -437,6 +443,8 @@ def parse_graph(text: str) -> list[list[int]]:
                 raise ParseError("unreadable number in 'p' header", lineno) from None
             if n < 1:
                 raise ParseError("graph must have at least one vertex", lineno)
+            if n > MAX_GRAPH_VERTICES:
+                raise ParseError(f"graph may have at most {MAX_GRAPH_VERTICES} vertices", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge line before 'p' header", lineno)

@@ -23,6 +23,7 @@ from simplexopt import (
     parse_polynomial,
     sample_grid_points,
 )
+from simplexopt.grid import _Kernel
 from conftest import random_polynomial
 
 F = Fraction
@@ -205,6 +206,20 @@ class TestRouteAgreement:
             r = rng.randint(1, 8)
             f = random_polynomial(rng, n, d)
             definitional = bernstein_definitional(f, r).homogeneous
+            closed = bernstein_closed_form(f, r).reduced
+            for x in sample_grid_points(n, 10, rng):
+                assert evaluate(definitional, x) == evaluate(closed, x)
+
+    def test_definitional_with_big_coefficients(self, rng):
+        n, d, r = 4, 3, 6
+        for _ in range(3):
+            small = random_polynomial(rng, n, d, max_terms=12)
+            f = HomogeneousPolynomial(n, d, {b: c * (10**21 + 7) for b, c in small.terms.items()})
+            assert _Kernel(f, r).limbs > 1
+            definitional = bernstein_definitional(f, r).homogeneous
+            for alpha in enumerate_grid(n, r):
+                value = evaluate(f, [F(a, r) for a in alpha])
+                assert definitional.coefficient(alpha) == value * multinomial(r, alpha)
             closed = bernstein_closed_form(f, r).reduced
             for x in sample_grid_points(n, 10, rng):
                 assert evaluate(definitional, x) == evaluate(closed, x)

@@ -251,6 +251,13 @@ class TestStableSet:
         code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
         assert code == 2 and "unreadable number" in err
 
+    @pytest.mark.parametrize("header", ["p 1" + "0" * 100 + " 0", "p 200000 0", "p 1001 0"])
+    def test_vertex_count_above_cap(self, capsys, tmp_path, header):
+        graph = tmp_path / "wide.dimacs"
+        graph.write_text(header + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
+        assert code == 2 and "at most 1000 vertices" in err
+
     def test_edge_field_with_non_ascii_digit(self, capsys, tmp_path):
         graph = tmp_path / "superscript.dimacs"
         graph.write_text("p 2 1\ne 1 ²\n", encoding="utf-8")

@@ -420,7 +420,7 @@ class TestBlockKernel:
         at_limit = HomogeneousPolynomial(2, 1, {(1, 0): 2**59, (0, 1): -(k - 2**59)})
         past_limit = HomogeneousPolynomial(1, 3, {(3,): 2**54})  # 2^54 * 8^3 = 2^63
         assert _Kernel(at_limit, 7).dtype is np.int64
-        assert _Kernel(past_limit, 8).dtype is object
+        assert _Kernel(past_limit, 8).limbs > 1
         for f, r in ((at_limit, 7), (past_limit, 8)):
             assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
         # the largest int64 numerator is reached exactly
@@ -434,9 +434,58 @@ class TestBlockKernel:
             n, d, r = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 8)
             f = random_polynomial(rng, n, d)
             lifted = HomogeneousPolynomial(n, d, {b: c * 2**70 for b, c in f.terms.items()})
-            assert _Kernel(f, r).dtype is np.int64 and _Kernel(lifted, r).dtype is object
+            assert _Kernel(f, r).dtype is np.int64 and _Kernel(lifted, r).limbs > 1
             (lo, lo_a), (hi, hi_a) = scan_both(f, r)
             assert scan_both(lifted, r) == ((lo * 2**70, lo_a), (hi * 2**70, hi_a))
+
+    def test_object_fallback_when_the_monomial_bound_leaves_no_room(self):
+        # 16^20 = 2^80 is past the 2^61 limb budget, so no digit fits
+        f = GeneralPolynomial(2, {(20, 0): F(1), (0, 20): F(-3)})
+        assert _Kernel(f, 16).dtype is object
+        assert scan_both(f, 16) == (brute_extremum(f, 16, True), brute_extremum(f, 16, False))
+
+    def test_top_limb_ties_are_narrowed_across_blocks(self, rng):
+        # 2^70 * (x1 + ... + x6)^2 is 2^70 * 81 at every point of the order-9
+        # grid (2002 points, two blocks), so the top limb ties on every point
+        # whose small part has the same sign and only lower limbs tell them apart
+        n, r = 6, 9
+        square = {beta: F(2**70 * (1 if max(beta) == 2 else 2)) for beta in compositions(n, 2)}
+        mixed = parse_polynomial("x5*x6 - x1*x2", n).terms
+        for small in (mixed, random_polynomial(rng, n, 2).terms, random_polynomial(rng, n, 2).terms):
+            terms = dict(square)
+            for beta, c in small.items():
+                terms[beta] += c
+            f = HomogeneousPolynomial(n, 2, terms)
+            kernel = _Kernel(f, r)
+            assert kernel.limbs > 1
+            for prefer_smaller in (True, False):
+                best = min if prefer_smaller else max
+                tops = [kernel._limbs(block) for block in _grid_blocks(n, r)]
+                top = best(best(acc[-1]) for acc in tops)
+                assert sum(top in acc[-1] for acc in tops) > 1
+                tied = np.hstack([acc[:, acc[-1] == top] for acc in tops])
+                assert len({tuple(column) for column in tied.T.tolist()}) > 1
+                scan = grid_minimize(f, r) if prefer_smaller else grid_maximize(f, r)
+                assert (scan.value, scan.argmin.alpha) == brute_extremum(f, r, prefer_smaller)
+
+    @pytest.mark.parametrize("r", [2, 7, 1500])
+    def test_limb_carries_borrow_for_mixed_signs(self, r):
+        f = parse_polynomial(f"{2**70}*x1^2 - x1*x2 + {2**70}*x2^2", 2)
+        assert _Kernel(f, r).limbs > 1
+        assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            HomogeneousPolynomial(2, 0, {(0, 0): F(2**64 + 1)}),
+            HomogeneousPolynomial(2, 0, {(0, 0): F(-(2**64) - 1, 3)}),
+            GeneralPolynomial(3, {(0, 0, 0): F(2**64 + 1), (2, 0, 0): F(-1), (0, 1, 1): F(3, 2)}),
+        ],
+    )
+    def test_constant_term_above_int64(self, f):
+        for r in (1, 5, 12):
+            assert _Kernel(f, r).limbs > 1
+            assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
 
     def test_thread_counts_give_identical_results(self, rng):
         polys = [random_polynomial(rng, 6, 3, max_terms=20), parse_polynomial("x1 - x1", 6)]

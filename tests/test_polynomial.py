@@ -20,6 +20,7 @@ from simplexopt import (
     sample_grid_points,
     scale,
 )
+from simplexopt.polynomial import MAX_GRAPH_VERTICES
 from conftest import naive_evaluate, random_polynomial
 
 F = Fraction
@@ -291,6 +292,9 @@ class TestGraphParsing:
         text = "c toy graph\np 3 2\ne 1 2\ne 2 3\n"
         assert parse_graph(text) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
+    def test_vertex_cap_is_inclusive(self):
+        assert len(parse_graph(f"p {MAX_GRAPH_VERTICES} 0")) == MAX_GRAPH_VERTICES == 1000
+
     @pytest.mark.parametrize(
         "text, fragment",
         [
@@ -300,6 +304,7 @@ class TestGraphParsing:
             ("p 3 2\ne 1 2", "declared 2 edges"),
             ("p 3 0\nq 1 2", "unrecognized"),
             ("", "missing 'p' header"),
+            ("p 1001 0", "at most 1000 vertices"),
         ],
     )
     def test_rejections(self, text, fragment):
