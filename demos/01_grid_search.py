@@ -49,6 +49,3 @@ elapsed = perf_counter() - start
 print(f"\nn=10, r=10: {grid_size(10, 10)} points, min = {result.value} "
       f"in {elapsed:.2f}s (exact rational arithmetic throughout)")
 
-# Partitioned scans reduce deterministically: same value, same witness.
-parallel = grid_minimize(big, 10, threads=4)
-print("parallel scan identical:", (parallel.value, parallel.argmin) == (result.value, result.argmin))

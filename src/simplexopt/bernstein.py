@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, sqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .combinatorics import (
     multinomial,
     stirling2,
 )
-from .grid import _grid_blocks, _Kernel
+from .grid import _grid_blocks, _Kernel, _require_order
 from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
@@ -67,11 +67,6 @@ class BernsteinResult:
     source: str
 
 
-def _require_order(r: int) -> None:
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"approximation order must be an integer >= 1, got {r!r}")
-
-
 def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Degree-r homogeneous form: the coefficient of x^alpha is
     f(alpha/r) * r!/alpha!."""
@@ -88,24 +83,28 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     return BernsteinResult(homogeneous=poly, reduced=None, r=r, source=SOURCE_DEFINITIONAL)
 
 
-def _monomial_closed_form(beta: MultiIndex, r: int) -> dict[MultiIndex, Fraction]:
-    """Reduced form of the order-r approximation of x^beta.
+def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, int]]:
+    """Yield (gamma, r^(|gamma| falling) * prod_i S(beta_i, gamma_i)) for
+    every gamma <= beta whose weight is nonzero.
 
-    Only gamma <= beta with gamma_i >= 1 wherever beta_i >= 1 contribute,
-    since S(b, 0) = 0 for b >= 1.
+    Only gamma with gamma_i >= 1 wherever beta_i >= 1 can contribute, since
+    S(b, 0) = 0 for b >= 1.
     """
-    d = sum(beta)
-    scale = r**d
     ranges = [range(1, b + 1) if b else range(0, 1) for b in beta]
-    out: dict[MultiIndex, Fraction] = {}
     for gamma in product(*ranges):
         sprod = 1
         for b_i, g_i in zip(beta, gamma):
             sprod *= stirling2(b_i, g_i)
         if sprod:
-            weight = Fraction(falling_factorial(r, sum(gamma)) * sprod, scale)
-            out[gamma] = out.get(gamma, Fraction(0)) + weight
-    return out
+            weight = falling_factorial(r, sum(gamma)) * sprod
+            if weight:
+                yield gamma, weight
+
+
+def _monomial_closed_form(beta: MultiIndex, r: int) -> dict[MultiIndex, Fraction]:
+    """Reduced form of the order-r approximation of x^beta."""
+    scale = r ** sum(beta)
+    return {gamma: Fraction(w, scale) for gamma, w in _stirling_weights(beta, r)}
 
 
 def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -272,19 +271,13 @@ def moment_stirling(
     _require_order(r)
     point = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
-    ranges = [range(1, b + 1) if b else range(0, 1) for b in beta]
     total = Fraction(0)
-    for gamma in product(*ranges):
-        sprod = 1
-        for b_i, g_i in zip(beta, gamma):
-            sprod *= stirling2(b_i, g_i)
-        if not sprod:
-            continue
+    for gamma, weight in _stirling_weights(beta, r):
         xpow = Fraction(1)
         for g_i, x_i in zip(gamma, point):
             if g_i:
                 xpow *= x_i**g_i
-        total += falling_factorial(r, sum(gamma)) * sprod * xpow
+        total += weight * xpow
     return total
 
 

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import falling_factorial
-from .grid import GridMinimum, GridPoint, grid_maximize, grid_minimize
+from .grid import GridMinimum, GridPoint, _require_order, grid_maximize, grid_minimize
 from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
@@ -91,11 +90,11 @@ def coefficient_range(f: HomogeneousPolynomial) -> RangeInput:
     return RangeInput(low, high, PROVENANCE_COEFFICIENT)
 
 
-def grid_range(f: HomogeneousPolynomial, r: int, threads: int | None = None) -> RangeInput:
+def grid_range(f: HomogeneousPolynomial, r: int) -> RangeInput:
     """Certified lower bound from the coefficient range, heuristic upper
     bound from the order-r grid maximum."""
     low, _ = coefficient_range_bounds(f)
-    high = grid_maximize(f, r, threads=threads).value
+    high = grid_maximize(f, r).value
     return RangeInput(low, high, PROVENANCE_GRID)
 
 
@@ -148,9 +147,8 @@ def _certify(
     rng: RangeInput,
     theorem_bound: Fraction,
     grid_result: GridMinimum | None,
-    threads: int | None,
 ) -> BoundCertificate:
-    gm = grid_result if grid_result is not None else grid_minimize(f, r, threads=threads)
+    gm = grid_result if grid_result is not None else grid_minimize(f, r)
     if rng.is_exact:
         _refute_exact_range(f, rng, gm.value)
     gap = gm.value - rng.lower
@@ -195,9 +193,65 @@ def _refute_exact_range(f: HomogeneousPolynomial, rng: RangeInput, grid_value: F
         )
 
 
-def _require_order(r: int, minimum: int = 1) -> None:
-    if not isinstance(r, int) or r < minimum:
-        raise ValueError(f"grid order must be an integer >= {minimum}, got {r!r}")
+def _shrink_factor(r: int, d: int) -> Fraction:
+    """1 - r^(d falling)/r^d: the order-dependent contraction common to the
+    square-free and general bounds (equal to 1 while r < d)."""
+    return 1 - Fraction(falling_factorial(r, d), r**d)
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """One bound family: its --theorem flag, the least grid order it holds
+    for, which polynomials it applies to, and its relative factor at order r
+    and degree d (the bound over the range span, non-increasing in r).  The
+    certificate function is held by name and looked up at each call, so a
+    replaced module attribute is the one that runs."""
+
+    flag: str
+    minimum: int
+    applies: Callable[[HomogeneousPolynomial], bool]
+    needs: str
+    factor: Callable[[int, int], Fraction]
+    bound: str
+
+    def certificates(
+        self,
+        f: HomogeneousPolynomial,
+        r: int,
+        rng: RangeInput,
+        grid_result: GridMinimum | None = None,
+    ) -> tuple[BoundCertificate, ...]:
+        certs = globals()[self.bound](f, r, rng, grid_result=grid_result)
+        return certs if isinstance(certs, tuple) else (certs,)
+
+
+# Every bound family, sharpest first: the first one that applies is the one
+# chosen when none is named.
+THEOREMS = {
+    THEOREM_SQUAREFREE: _Theorem(
+        "sqfree", 1, is_square_free, "a square-free polynomial", _shrink_factor, "bound_squarefree"
+    ),
+    THEOREM_QUADRATIC: _Theorem(
+        "quad", 1, lambda f: f.d == 2, "degree 2", lambda r, d: Fraction(1, r), "bound_quadratic"
+    ),
+    THEOREM_CUBIC: _Theorem(
+        "cubic", 2, lambda f: f.d == 3, "degree 3",
+        lambda r, d: Fraction(4, r) - Fraction(4, r * r), "bound_cubic",
+    ),
+    THEOREM_GENERAL: _Theorem(
+        "general", 1, lambda f: f.d >= 1, "degree >= 1",
+        lambda r, d: _shrink_factor(r, d) * ptas_constant(d), "bound_general",
+    ),
+}
+
+
+def _admit(name: str, f: HomogeneousPolynomial, r: int) -> Fraction:
+    """Check that the family applies to f at order r; return its factor."""
+    entry = THEOREMS[name]
+    _require_order(r, entry.minimum)
+    if not entry.applies(f):
+        raise ValueError(f"{name} bound needs {entry.needs}; f has degree {f.d}")
+    return entry.factor(r, f.d)
 
 
 def bound_quadratic(
@@ -205,15 +259,12 @@ def bound_quadratic(
     r: int,
     rng: RangeInput,
     grid_result: GridMinimum | None = None,
-    threads: int | None = None,
 ) -> BoundCertificate:
     """Quadratic bound (q_max - lower)/r, where q_max is the largest diagonal
     coefficient (the largest vertex value of f)."""
-    _require_order(r)
-    if f.d != 2:
-        raise ValueError(f"quadratic bound needs degree 2, got degree {f.d}")
-    bound = Fraction(_largest_vertex_value(f) - rng.lower, r)
-    return _certify(THEOREM_QUADRATIC, f, r, rng, bound, grid_result, threads)
+    factor = _admit(THEOREM_QUADRATIC, f, r)
+    bound = factor * (_largest_vertex_value(f) - rng.lower)
+    return _certify(THEOREM_QUADRATIC, f, r, rng, bound, grid_result)
 
 
 def bound_cubic(
@@ -221,20 +272,10 @@ def bound_cubic(
     r: int,
     rng: RangeInput,
     grid_result: GridMinimum | None = None,
-    threads: int | None = None,
 ) -> BoundCertificate:
     """Cubic bound (4/r - 4/r^2) * (upper - lower), valid for orders r >= 2."""
-    _require_order(r, minimum=2)
-    if f.d != 3:
-        raise ValueError(f"cubic bound needs degree 3, got degree {f.d}")
-    bound = (Fraction(4, r) - Fraction(4, r * r)) * rng.span
-    return _certify(THEOREM_CUBIC, f, r, rng, bound, grid_result, threads)
-
-
-def _shrink_factor(r: int, d: int) -> Fraction:
-    """1 - r^(d falling)/r^d: the order-dependent contraction common to the
-    square-free and general bounds (equal to 1 while r < d)."""
-    return 1 - Fraction(falling_factorial(r, d), r**d)
+    factor = _admit(THEOREM_CUBIC, f, r)
+    return _certify(THEOREM_CUBIC, f, r, rng, factor * rng.span, grid_result)
 
 
 def bound_squarefree(
@@ -242,14 +283,10 @@ def bound_squarefree(
     r: int,
     rng: RangeInput,
     grid_result: GridMinimum | None = None,
-    threads: int | None = None,
 ) -> BoundCertificate:
     """Square-free bound (1 - r^(d falling)/r^d) * (upper - lower)."""
-    _require_order(r)
-    if not is_square_free(f):
-        raise ValueError("square-free bound needs a square-free polynomial")
-    bound = _shrink_factor(r, f.d) * rng.span
-    return _certify(THEOREM_SQUAREFREE, f, r, rng, bound, grid_result, threads)
+    factor = _admit(THEOREM_SQUAREFREE, f, r)
+    return _certify(THEOREM_SQUAREFREE, f, r, rng, factor * rng.span, grid_result)
 
 
 def bound_general(
@@ -257,7 +294,6 @@ def bound_general(
     r: int,
     rng: RangeInput,
     grid_result: GridMinimum | None = None,
-    threads: int | None = None,
 ) -> tuple[BoundCertificate, BoundCertificate]:
     """General-degree bounds, two certificates for the same grid run:
 
@@ -266,19 +302,15 @@ def bound_general(
         Bernstein-basis coefficient range of f, which is the tighter leg of
         the comparison.
     """
-    _require_order(r)
-    if f.d < 1:
-        raise ValueError(f"general bound needs degree >= 1, got degree {f.d}")
-    gm = grid_result if grid_result is not None else grid_minimize(f, r, threads=threads)
-    factor = _shrink_factor(r, f.d)
-    constant_bound = factor * ptas_constant(f.d) * rng.span
+    factor = _admit(THEOREM_GENERAL, f, r)
+    gm = grid_result if grid_result is not None else grid_minimize(f, r)
     bc_low, bc_high = coefficient_range_bounds(f)
-    coefficient_bound = factor * (bc_high - bc_low)
-    cert_constant = _certify(THEOREM_GENERAL, f, r, rng, constant_bound, gm, threads)
-    cert_coefficient = _certify(
-        THEOREM_GENERAL_COEFFICIENT, f, r, rng, coefficient_bound, gm, threads
+    # the contraction alone, without the constant C(2d-1, d) * d^d
+    coefficient_bound = factor / ptas_constant(f.d) * (bc_high - bc_low)
+    return (
+        _certify(THEOREM_GENERAL, f, r, rng, factor * rng.span, gm),
+        _certify(THEOREM_GENERAL_COEFFICIENT, f, r, rng, coefficient_bound, gm),
     )
-    return cert_constant, cert_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -287,52 +319,31 @@ def bound_general(
 
 
 def _select_theorem(f: HomogeneousPolynomial) -> str:
-    """Sharpest applicable bound: square-free beats quadratic beats cubic
-    beats general."""
-    if is_square_free(f):
-        return THEOREM_SQUAREFREE
-    if f.d == 2:
-        return THEOREM_QUADRATIC
-    if f.d == 3:
-        return THEOREM_CUBIC
-    return THEOREM_GENERAL
+    """Sharpest applicable bound family: the first entry of THEOREMS that
+    applies to f."""
+    return next(name for name, entry in THEOREMS.items() if entry.applies(f))
 
 
 def min_grid_order(d: int, epsilon: Fraction, theorem: str) -> int:
-    """Smallest grid order whose relative bound factor is <= epsilon:
-
-      quadratic            1/r
-      cubic                4/r - 4/r^2           (orders r >= 2)
-      squarefree           1 - r^(d falling)/r^d
-      general              (1 - r^(d falling)/r^d) * C(2d-1, d) * d^d
-    """
+    """Smallest grid order, at least the family's minimum, whose relative
+    factor in THEOREMS is <= epsilon."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"accuracy must be positive, got {epsilon}")
-    if theorem == THEOREM_QUADRATIC:
-        return max(1, ceil(1 / epsilon))
-    if theorem == THEOREM_CUBIC:
-        # 4/r - 4/r^2 is non-increasing for r >= 2
-        def ok(r: int) -> bool:
-            return Fraction(4, r) - Fraction(4, r * r) <= epsilon
-
-        return _smallest_admissible(ok, minimum=2)
-    if theorem in (THEOREM_SQUAREFREE, THEOREM_GENERAL):
-        constant = 1 if theorem == THEOREM_SQUAREFREE else ptas_constant(d)
-
-        def ok(r: int) -> bool:
-            return _shrink_factor(r, d) * constant <= epsilon
-
-        return _smallest_admissible(ok, minimum=1, first_guess=max(2, 2 * d))
-    raise ValueError(f"unknown bound family {theorem!r}")
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown bound family {theorem!r}")
+    entry = THEOREMS[theorem]
+    return _smallest_admissible(
+        lambda r: entry.factor(r, d) <= epsilon, entry.minimum, first_guess=max(2, 2 * d)
+    )
 
 
-def _smallest_admissible(ok, minimum: int, first_guess: int | None = None) -> int:
+def _smallest_admissible(ok, minimum: int, first_guess: int) -> int:
     """Least r >= minimum with ok(r), for a predicate that is monotone
     (False then True) in r: doubling search then bisection."""
     if ok(minimum):
         return minimum
-    hi = first_guess if first_guess is not None and first_guess > minimum else 2 * minimum
+    hi = first_guess if first_guess > minimum else 2 * minimum
     while not ok(hi):
         hi *= 2
     lo = minimum
@@ -350,7 +361,6 @@ def ptas_approximate(
     epsilon: Fraction,
     rng: RangeInput | None = None,
     theorem: str | None = None,
-    threads: int | None = None,
 ) -> tuple[GridPoint, Fraction, BoundCertificate]:
     """Pick the sharpest applicable bound family (unless overridden), choose
     the smallest adequate grid order for the target accuracy, and return the
@@ -370,17 +380,8 @@ def ptas_approximate(
             value = f.coefficient((0,) * f.n)
             rng = exact_range(value, value)
     r = min_grid_order(f.d, epsilon, chosen)
-    gm = grid_minimize(f, r, threads=threads)
-    if chosen == THEOREM_QUADRATIC:
-        cert = bound_quadratic(f, r, rng, grid_result=gm)
-    elif chosen == THEOREM_CUBIC:
-        cert = bound_cubic(f, r, rng, grid_result=gm)
-    elif chosen == THEOREM_SQUAREFREE:
-        cert = bound_squarefree(f, r, rng, grid_result=gm)
-    elif chosen == THEOREM_GENERAL:
-        cert = bound_general(f, r, rng, grid_result=gm)[0]
-    else:
-        raise ValueError(f"unknown bound family {chosen!r}")
+    gm = grid_minimize(f, r)
+    cert = THEOREMS[chosen].certificates(f, r, rng, grid_result=gm)[0]
     return gm.argmin, gm.value, cert
 
 
@@ -390,7 +391,7 @@ def ptas_approximate(
 
 
 def stable_set_bounds(
-    adjacency: Sequence[Sequence[int]], r: int, threads: int | None = None
+    adjacency: Sequence[Sequence[int]], r: int
 ) -> tuple[int, Fraction, BoundCertificate]:
     """Grid-based lower bound on the stable-set number.
 
@@ -399,7 +400,7 @@ def stable_set_bounds(
     with 1/a >= v, i.e. floor(1/v), is a certified lower bound on alpha(G).
     """
     f = motzkin_straus(adjacency)
-    gm = grid_minimize(f, r, threads=threads)
+    gm = grid_minimize(f, r)
     alpha_lower = int(1 / gm.value) if gm.value else 0
     cert = bound_quadratic(f, r, coefficient_range(f), grid_result=gm)
     return alpha_lower, gm.value, cert

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from random import Random
@@ -20,17 +19,11 @@ from time import perf_counter
 
 from .bernstein import bernstein_closed_form, bernstein_definitional, moment_direct, moment_stirling
 from .bounds import (
+    THEOREMS,
     BoundCertificate,
-    THEOREM_CUBIC,
-    THEOREM_GENERAL,
-    THEOREM_QUADRATIC,
-    THEOREM_SQUAREFREE,
+    RangeInput,
     _rat,
     _select_theorem,
-    bound_cubic,
-    bound_general,
-    bound_quadratic,
-    bound_squarefree,
     brute_force_stable_set_number,
     coefficient_range,
     exact_range,
@@ -79,16 +72,11 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise _InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SIMPLEX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise _InputError(f"cannot parse SIMPLEX_THREADS={env!r}") from exc
-    return os.cpu_count() or 1
+def _parse_range(text: str) -> RangeInput:
+    bounds = _parse_rational_list(text, "range")
+    if len(bounds) != 2:
+        raise _InputError(f"--range expects 'L,U', got {text!r}")
+    return exact_range(bounds[0], bounds[1])
 
 
 def _emit_json(payload: dict) -> None:
@@ -129,7 +117,7 @@ def _cmd_grid_min(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial, args.n)
     scan = grid_maximize if args.max else grid_minimize
     start = perf_counter()
-    gm = scan(f, args.r, threads=_threads(args))
+    gm = scan(f, args.r)
     elapsed = perf_counter() - start
     mode = "max" if args.max else "min"
     if args.json:
@@ -196,33 +184,14 @@ def _cmd_bernstein(args: argparse.Namespace) -> int:
     return 0
 
 
-_THEOREM_FLAGS = {
-    "quad": THEOREM_QUADRATIC,
-    "cubic": THEOREM_CUBIC,
-    "sqfree": THEOREM_SQUAREFREE,
-    "general": THEOREM_GENERAL,
-}
+_THEOREM_FLAGS = {entry.flag: name for name, entry in THEOREMS.items()}
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial, args.n)
     theorem = _select_theorem(f) if args.theorem == "auto" else _THEOREM_FLAGS[args.theorem]
-    if args.range == "auto":
-        rng_input = coefficient_range(f)
-    else:
-        bounds = _parse_rational_list(args.range, "range")
-        if len(bounds) != 2:
-            raise _InputError(f"--range expects 'auto' or 'L,U', got {args.range!r}")
-        rng_input = exact_range(bounds[0], bounds[1])
-    threads = _threads(args)
-    if theorem == THEOREM_QUADRATIC:
-        certs = [bound_quadratic(f, args.r, rng_input, threads=threads)]
-    elif theorem == THEOREM_CUBIC:
-        certs = [bound_cubic(f, args.r, rng_input, threads=threads)]
-    elif theorem == THEOREM_SQUAREFREE:
-        certs = [bound_squarefree(f, args.r, rng_input, threads=threads)]
-    else:
-        certs = list(bound_general(f, args.r, rng_input, threads=threads))
+    rng_input = coefficient_range(f) if args.range == "auto" else _parse_range(args.range)
+    certs = THEOREMS[theorem].certificates(f, args.r, rng_input)
     if args.json:
         _emit_json({"command": "bound", "certificates": [c.to_json_dict() for c in certs]})
     else:
@@ -236,13 +205,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_ptas(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial, args.n)
     epsilon = _parse_rational(args.epsilon, "accuracy")
-    rng_input = None
-    if args.range is not None:
-        bounds = _parse_rational_list(args.range, "range")
-        if len(bounds) != 2:
-            raise _InputError(f"--range expects 'L,U', got {args.range!r}")
-        rng_input = exact_range(bounds[0], bounds[1])
-    point, value, cert = ptas_approximate(f, epsilon, rng_input, threads=_threads(args))
+    rng_input = _parse_range(args.range) if args.range is not None else None
+    point, value, cert = ptas_approximate(f, epsilon, rng_input)
     if args.json:
         _emit_json(
             {
@@ -302,7 +266,7 @@ def _cmd_stable_set(args: argparse.Namespace) -> int:
     with open(args.graphfile, encoding="utf-8") as handle:
         adjacency = parse_graph(handle.read())
     n = len(adjacency)
-    alpha_lower, f_grid, cert = stable_set_bounds(adjacency, args.r, threads=_threads(args))
+    alpha_lower, f_grid, cert = stable_set_bounds(adjacency, args.r)
     brute = None
     if args.brute:
         if n > 20:
@@ -360,7 +324,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--threads", type=int, default=None, help="accepted for compatibility; every grid scan runs in one thread")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized verification")
 
     parser = argparse.ArgumentParser(
@@ -397,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = poly_command("bound", "emit an error-bound certificate")
     cmd.add_argument("--r", type=int, required=True, help="grid order")
-    cmd.add_argument("--theorem", choices=("auto", "quad", "cubic", "sqfree", "general"), default="auto")
+    cmd.add_argument("--theorem", choices=("auto", *_THEOREM_FLAGS), default="auto")
     cmd.add_argument("--range", default="auto", help="'auto' (coefficient range) or exact 'L,U'")
     cmd.set_defaults(func=_cmd_bound)
 

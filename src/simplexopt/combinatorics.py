@@ -11,7 +11,6 @@ nothing overflows silently.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Iterator, Sequence
@@ -94,32 +93,6 @@ def stirling2(b: int, a: int) -> int:
         return 0
     _extend_stirling(b)
     return _stirling_rows[b][a]
-
-
-@dataclass(frozen=True)
-class StirlingTable:
-    """Immutable triangular table of S(b, a) for 0 <= a <= b <= max_b."""
-
-    max_b: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, max_b: int) -> "StirlingTable":
-        if max_b < 0:
-            raise ValueError(f"table extent must be nonnegative, got {max_b}")
-        _extend_stirling(max_b)
-        with _stirling_lock:
-            rows = tuple(tuple(row) for row in _stirling_rows[: max_b + 1])
-        return cls(max_b=max_b, rows=rows)
-
-    def value(self, b: int, a: int) -> int:
-        if b < 0 or b > self.max_b:
-            raise ValueError(f"row {b} outside table extent {self.max_b}")
-        if a < 0:
-            raise ValueError(f"column must be nonnegative, got {a}")
-        if a > b:
-            return 0
-        return self.rows[b][a]
 
 
 def multinomial(r: int, alpha: Sequence[int]) -> int:

@@ -143,6 +143,8 @@ def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiInde
 # are trimmed when they pass the same number of entries.
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 17
+# Largest grid a scan accepts; a larger one is refused before any work.
+MAX_GRID_POINTS = 10**8
 _INT64_MAX = 2**63 - 1
 _LIMB_BUDGET = 2**61
 
@@ -215,8 +217,8 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
     remaining total over the remaining slots"; the suffix tables are
     memoised for this scan only and dropped when the generator finishes.  A
     piece wider than a block is split by its next entry, except a piece with
-    total 1, which is written in closed form across as many blocks as it
-    fills.
+    total 1 or with two slots, which is written in closed form across as
+    many blocks as it fills.
     """
     dtype = np.min_scalar_type(r)
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
@@ -232,20 +234,25 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
         if k:
             prefix[k - 1] = v
         width = comb(s + m - 1, s)
-        if width > rows and s == 1:
-            # the (m, 1) table in closed form, a slice of columns at a time:
-            # its column c has the 1 in row m-1-c
+        if width > rows and (s == 1 or m == 2):
+            # the (m, 1) and (2, s) tables in closed form, a slice of columns
+            # at a time: column c of (m, 1) has its 1 in row m-1-c, column c
+            # of (2, s) is (c, s-c)
             c = 0
-            while c < m:
+            while c < width:
                 if filled == rows:
                     yield block
                     block = np.empty((n, rows), dtype)
                     filled = 0
-                cols = np.arange(min(m - c, rows - filled))
+                cols = np.arange(min(width - c, rows - filled))
                 piece = block[:, filled : filled + cols.size]
                 piece[:k] = prefix[:k, None]
-                piece[k:] = 0
-                piece[k + m - 1 - c - cols, cols] = 1
+                if s == 1:
+                    piece[k:] = 0
+                    piece[k + m - 1 - c - cols, cols] = 1
+                else:
+                    piece[k] = c + cols
+                    piece[k + 1] = s - piece[k]
                 filled += cols.size
                 c += cols.size
             continue
@@ -381,9 +388,22 @@ class _Kernel:
         return j, sum(int(acc[l, j]) << (self.shift * l) for l in range(self.limbs))
 
 
+def _require_order(r: int, minimum: int = 1) -> None:
+    if not isinstance(r, int) or r < minimum:
+        raise ValueError(f"grid order must be an integer >= {minimum}, got {r!r}")
+
+
 def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"grid order must be an integer >= 1, got {r!r}")
+    _require_order(r)
+    # C(n+r-1, r) >= 2^min(n-1, r), so a large min(n-1, r) is refused
+    # without computing a huge binomial
+    small = min(f.n - 1, r) < MAX_GRID_POINTS.bit_length()
+    size = grid_size(f.n, r) if small else None
+    if size is None or size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the order-{r} grid in {f.n} variables has more than "
+            f"{MAX_GRID_POINTS} points, the most a scan accepts"
+        )
     kernel = _Kernel(f, r)
     best_v: int | None = None
     best_a: list[int] = []
@@ -396,20 +416,20 @@ def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
             best_v, best_a = v, block[:, j].tolist()
     assert best_v is not None
     point = GridPoint(tuple(best_a), r)
-    return GridMinimum(Fraction(best_v, kernel.denom), point, grid_size(f.n, r))
+    return GridMinimum(Fraction(best_v, kernel.denom), point, size)
 
 
-def grid_minimize(f: Polynomial, r: int, threads: int | None = None) -> GridMinimum:
+def grid_minimize(f: Polynomial, r: int) -> GridMinimum:
     """Exact minimum of f over the order-r grid.
 
-    Ties break to the lexicographically smallest index vector.  `threads` is
-    accepted for compatibility and has no effect: the block kernel runs in
-    one thread, which measured faster than a thread pool over its blocks.
+    Ties break to the lexicographically smallest index vector.  A grid of
+    more than MAX_GRID_POINTS points is refused with ValueError before any
+    work.
     """
     return _scan_extremum(f, r, prefer_smaller=True)
 
 
-def grid_maximize(f: Polynomial, r: int, threads: int | None = None) -> GridMinimum:
+def grid_maximize(f: Polynomial, r: int) -> GridMinimum:
     """Exact maximum of f over the order-r grid, same contract as
     grid_minimize (argmin field holds the maximizing point)."""
     return _scan_extremum(f, r, prefer_smaller=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from random import Random
 
 from .bernstein import (
@@ -42,12 +43,14 @@ class CheckResult:
         return "; ".join(self.failures[:5])
 
 
-def _random_polynomial(rng: Random, n: int, d: int, square_free: bool = False) -> HomogeneousPolynomial:
-    from math import comb
-
+def _random_polynomial(
+    rng: Random, n: int, d: int, max_terms: int = 6, square_free: bool = False
+) -> HomogeneousPolynomial:
+    """Random sparse polynomial with up to max_terms small rational
+    coefficients."""
     terms = {}
     population = comb(n, d) if square_free else grid_size(n, d)
-    want = rng.randint(1, min(6, population))
+    want = rng.randint(1, min(max_terms, population))
     while len(terms) < want:
         if square_free:
             support = rng.sample(range(n), d)

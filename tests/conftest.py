@@ -7,31 +7,7 @@ from random import Random
 
 import pytest
 
-from simplexopt import HomogeneousPolynomial, composition_unrank, grid_size
-
-
-def random_polynomial(
-    rng: Random,
-    n: int,
-    d: int,
-    max_terms: int = 6,
-    square_free: bool = False,
-) -> HomogeneousPolynomial:
-    """Random sparse polynomial with small rational coefficients."""
-    from math import comb
-
-    population = comb(n, d) if square_free else grid_size(n, d)
-    want = rng.randint(1, min(max_terms, population))
-    terms: dict = {}
-    while len(terms) < want:
-        if square_free:
-            support = rng.sample(range(n), d)
-            beta = tuple(1 if i in support else 0 for i in range(n))
-        else:
-            beta = composition_unrank(n, d, rng.randrange(population))
-        numer = rng.randint(-9, 9) or 1
-        terms[beta] = Fraction(numer, rng.randint(1, 9))
-    return HomogeneousPolynomial(n, d, terms)
+from simplexopt.selftest import _random_polynomial as random_polynomial
 
 
 def naive_evaluate(f, x) -> Fraction:

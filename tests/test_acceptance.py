@@ -273,5 +273,3 @@ def test_criterion_10_scale_smoke():
         sequential = grid_minimize(f, 10)
         assert sequential.evaluations == 92378
         assert sequential.value == F(1, 10)
-        parallel = grid_minimize(f, 10, threads=4)
-        assert (parallel.value, parallel.argmin) == (sequential.value, sequential.argmin)

@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -69,12 +71,12 @@ class TestGridMin:
         code, _, err = run(capsys, "grid-min", "1" * 5000 + "*x1", "--n", "1", "--r", "2")
         assert code == 2 and "integer literal" in err and "position 0" in err
 
-    def test_threads_flag_changes_nothing(self, capsys):
-        _, base, _ = run_json(capsys, "grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "5")
-        _, threaded, _ = run_json(
-            capsys, "grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "5", "--threads", "3"
-        )
-        assert base == threaded
+    @pytest.mark.parametrize("n, r", [("200", "200"), ("2", "1000000000"), ("300000", "300000")])
+    def test_oversized_grid_is_refused_at_once(self, capsys, n, r):
+        start = perf_counter()
+        code, out, err = run(capsys, "grid-min", "x1^2 + x2^2", "--n", n, "--r", r)
+        assert code == 3 and out == "" and "points" in err
+        assert perf_counter() - start < 1.0
 
 
 class TestBernstein:
@@ -207,6 +209,11 @@ class TestPtas:
         code, _, err = run(capsys, "ptas", "x1^2", "--n", "1", "--epsilon", "a/b")
         assert code == 2
 
+    def test_accuracy_demanding_an_oversized_grid_exits_three(self, capsys):
+        # 1/r <= 10^-9 needs the order-10^9 grid: refused before the scan
+        code, out, err = run(capsys, "ptas", "x1^2 + x2^2", "--n", "2", "--epsilon", "1/1000000000")
+        assert code == 3 and out == "" and "points" in err
+
 
 class TestMoments:
     def test_example(self, capsys):
@@ -316,20 +323,11 @@ class TestArgErrors:
             main(["grid-min", "x1^2", "--n", "1", "--r", "2", "--frobnicate"])
         assert exc.value.code == 2
 
-
-class TestEnvironment:
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMPLEX_THREADS", "2")
-        code, payload, _ = run_json(capsys, "grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "6")
-        assert code == 0
-        monkeypatch.setenv("SIMPLEX_THREADS", "1")
-        code2, payload2, _ = run_json(capsys, "grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "6")
-        assert code2 == 0 and payload == payload2
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMPLEX_THREADS", "lots")
-        code, _, err = run(capsys, "grid-min", "x1^2", "--n", "1", "--r", "2")
-        assert code == 2 and "SIMPLEX_THREADS" in err
+    def test_threads_flag_exits_two(self, capsys):
+        # scans run in one thread; there is no --threads option
+        with pytest.raises(SystemExit) as exc:
+            main(["grid-min", "x1^2", "--n", "1", "--r", "2", "--threads", "3"])
+        assert exc.value.code == 2
 
 
 class TestInternalInvariantSurfaces:
@@ -358,3 +356,19 @@ class TestInternalInvariantSurfaces:
         monkeypatch.setattr(cli_module, "bernstein_closed_form", broken_closed_form)
         code, _, err = run(capsys, "bernstein", "x1^2 + x2^2", "--n", "2", "--r", "3")
         assert code == 4 and "disagreement" in err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(GOLDEN["cases"])]
+)
+def test_json_output_matches_golden_capture(capsys, tmp_path, case):
+    # a fixed command set whose --json stdout was captured before the theorem
+    # table and the removal of --threads; every byte must stay the same
+    graph = tmp_path / "graph.txt"
+    graph.write_text(GOLDEN["graph"])
+    argv = [str(graph) if a == "{graph}" else a for a in case["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == case["stdout"]

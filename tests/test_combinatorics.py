@@ -5,7 +5,6 @@ import pytest
 
 from simplexopt import combinatorics
 from simplexopt.combinatorics import (
-    StirlingTable,
     check_identity_falling_sum,
     check_identity_stirling_split,
     compositions,
@@ -83,20 +82,6 @@ class TestStirling:
         for b in range(0, 8):
             for a in range(0, b + 1):
                 assert stirling2(b, a) == brute_partition_count(b, a)
-
-    def test_table_recurrence(self):
-        table = StirlingTable.build(9)
-        assert table.value(0, 0) == 1
-        for b in range(1, 10):
-            assert table.value(b, 0) == 0
-            for a in range(1, b + 1):
-                assert table.value(b, a) == table.value(b - 1, a - 1) + a * table.value(b - 1, a)
-
-    def test_table_bounds(self):
-        table = StirlingTable.build(4)
-        assert table.value(3, 4) == 0
-        with pytest.raises(ValueError):
-            table.value(5, 1)
 
 
 class TestMultinomial:

@@ -164,14 +164,13 @@ class TestMinimize:
             for r in range(1, 7):
                 assert grid_minimize(f, r).value >= low
 
-    def test_parallel_tie_break_on_constant_values(self):
-        # every grid point ties: the first chunk's first point must win
+    def test_tie_break_on_constant_values(self):
+        # every grid point ties: the first point of the first block must win
         zero = parse_polynomial("x1 - x1", 3)
-        for threads in (2, 5):
-            gm = grid_minimize(zero, 4, threads=threads)
-            assert gm.value == 0 and gm.argmin.alpha == (0, 0, 4)
-            gx = grid_maximize(zero, 4, threads=threads)
-            assert gx.argmin.alpha == (0, 0, 4)
+        gm = grid_minimize(zero, 4)
+        assert gm.value == 0 and gm.argmin.alpha == (0, 0, 4)
+        gx = grid_maximize(zero, 4)
+        assert gx.argmin.alpha == (0, 0, 4)
 
     def test_accepts_mixed_degree_polynomials(self):
         from simplexopt import GeneralPolynomial, bernstein_quadratic
@@ -185,19 +184,6 @@ class TestMinimize:
         assert gm.value == min(
             naive_evaluate(smoothed, [F(a, 8), F(8 - a, 8)]) for a in range(9)
         )
-
-    def test_parallel_identical_to_sequential(self, rng):
-        for _ in range(15):
-            n = rng.randint(1, 4)
-            d = rng.randint(0, 4)
-            r = rng.randint(1, 7)
-            f = random_polynomial(rng, n, d)
-            seq = grid_minimize(f, r)
-            par = grid_minimize(f, r, threads=3)
-            assert (seq.value, seq.argmin) == (par.value, par.argmin)
-            seqx = grid_maximize(f, r)
-            parx = grid_maximize(f, r, threads=4)
-            assert (seqx.value, seqx.argmin) == (parx.value, parx.argmin)
 
 
 class TestMaximize:
@@ -291,8 +277,8 @@ def brute_extremum(f, r, prefer_smaller):
     return best, best_alpha
 
 
-def scan_both(f, r, threads=None):
-    lo, hi = grid_minimize(f, r, threads=threads), grid_maximize(f, r, threads=threads)
+def scan_both(f, r):
+    lo, hi = grid_minimize(f, r), grid_maximize(f, r)
     return (lo.value, lo.argmin.alpha), (hi.value, hi.argmin.alpha)
 
 
@@ -379,6 +365,52 @@ class TestBlockKernel:
         # and, read off at both ends, the very points enumerate_grid yields
         assert np.hstack(start)[:, :head].T.tolist() == list(map(list, islice(enumerate_grid(n, r), head)))
         assert np.hstack(end)[:, -head:].T.tolist() == list(map(list, iter_grid_range(n, r, total - head, total)))
+
+    @pytest.mark.parametrize("n, r, block_rows", [(2, 5000, _BLOCK_ROWS), (3, 200, 64), (4, 40, 16)])
+    def test_wide_two_slot_pieces_are_sliced_in_order(self, monkeypatch, n, r, block_rows):
+        # a (2, s) piece wider than a block is written in closed form, not
+        # split into single points
+        monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
+        requested = []
+        get = grid_module._SuffixTables.get
+        monkeypatch.setattr(
+            grid_module._SuffixTables,
+            "get",
+            lambda tables, m, s: requested.append((m, s)) or get(tables, m, s),
+        )
+        blocks = list(_grid_blocks(n, r))
+        assert all(1 <= b.shape[1] <= block_rows for b in blocks)
+        columns = [tuple(col) for b in blocks for col in b.T.tolist()]
+        assert columns == list(enumerate_grid(n, r))
+        # a split into single points would take a lookup per point
+        assert not [(m, s) for m, s in requested if m == 2 and s + 1 > block_rows]
+        assert len(requested) < len(blocks)
+
+    def test_first_block_of_a_huge_two_slot_grid_is_cheap(self):
+        tracemalloc.start()
+        try:
+            first = next(_grid_blocks(2, 10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape[1] == _BLOCK_ROWS
+        assert first[:, :2].T.tolist() == [[0, 10**9], [1, 10**9 - 1]]
+        assert peak < 4 * 2**20
+
+    def test_grid_limit_is_checked_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", grid_size(3, 4))
+        f = sum_of_powers(3, 2)
+        assert grid_minimize(f, 4).evaluations == grid_size(3, 4)
+
+        def no_compile(*args):
+            raise AssertionError("the kernel was compiled for a refused grid")
+
+        monkeypatch.setattr(grid_module, "_Kernel", no_compile)
+        # (3, 5) has 21 points and (2, 15) one more than the limit
+        for scan in (grid_minimize, grid_maximize):
+            for g, r in ((f, 5), (sum_of_powers(2, 2), 15)):
+                with pytest.raises(ValueError, match="points"):
+                    scan(g, r)
 
     @pytest.mark.parametrize("n, r", [(1100, 1), (400, 2), (2, 1000)])
     def test_wide_grids_stream_in_bounded_memory(self, n, r):
@@ -486,11 +518,3 @@ class TestBlockKernel:
         for r in (1, 5, 12):
             assert _Kernel(f, r).limbs > 1
             assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
-
-    def test_thread_counts_give_identical_results(self, rng):
-        polys = [random_polynomial(rng, 6, 3, max_terms=20), parse_polynomial("x1 - x1", 6)]
-        big = random_polynomial(rng, 5, 2)
-        polys.append(HomogeneousPolynomial(5, 2, {b: c * 10**25 for b, c in big.terms.items()}))
-        for f in polys:
-            results = {scan_both(f, 12, threads=t) for t in (1, 2, 5)}
-            assert len(results) == 1
