@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, sqrt
+from math import lcm, prod, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,13 +40,16 @@ from .combinatorics import (
     multinomial,
     stirling2,
 )
-from .grid import _grid_blocks, _Kernel, _require_order
+from .grid import MAX_EXPANDED_POINTS, _grid_blocks, _Kernel, _require_grid, _require_order
 from .polynomial import (
+    MAX_DEGREE,
     GeneralPolynomial,
     HomogeneousPolynomial,
     RationalLike,
     is_square_free,
 )
+
+MAX_STIRLING_TUPLES = 10**5  # most gamma _stirling_weights walks for one monomial, a few us each
 
 SOURCE_DEFINITIONAL = "definitional"
 SOURCE_CLOSED_FORM = "closed_form"
@@ -69,8 +72,10 @@ class BernsteinResult:
 
 def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Degree-r homogeneous form: the coefficient of x^alpha is
-    f(alpha/r) * r!/alpha!."""
+    f(alpha/r) * r!/alpha!, a term per point of a grid of at most
+    MAX_EXPANDED_POINTS points."""
     _require_order(r)
+    _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
     kernel = _Kernel(f, r)
     terms: dict[MultiIndex, Fraction] = {}
     for block in _grid_blocks(f.n, r):
@@ -88,9 +93,12 @@ def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, in
     every gamma <= beta whose weight is nonzero.
 
     Only gamma with gamma_i >= 1 wherever beta_i >= 1 can contribute, since
-    S(b, 0) = 0 for b >= 1.
+    S(b, 0) = 0 for b >= 1.  More than MAX_STIRLING_TUPLES such gamma are
+    refused before any work.
     """
     ranges = [range(1, b + 1) if b else range(0, 1) for b in beta]
+    if prod(max(b, 1) for b in beta) > MAX_STIRLING_TUPLES:
+        raise ValueError(f"the Stirling expansion of x^{tuple(beta)} walks more than {MAX_STIRLING_TUPLES} tuples")
     for gamma in product(*ranges):
         sprod = 1
         for b_i, g_i in zip(beta, gamma):
@@ -211,6 +219,8 @@ def _check_moment_order(n: int, beta: Sequence[int]) -> MultiIndex:
         raise ValueError(f"moment order has dimension {len(order)}, expected {n}")
     if any(not isinstance(b, int) or b < 0 for b in order):
         raise ValueError(f"moment order must hold nonnegative integers: {order}")
+    if sum(order) > MAX_DEGREE:
+        raise ValueError(f"moment order passes {MAX_DEGREE}, the largest accepted")
     return order
 
 
@@ -219,7 +229,9 @@ def _check_moment_order(n: int, beta: Sequence[int]) -> MultiIndex:
 @lru_cache(maxsize=128)
 def _probability_numerators(n: int, r: int, a: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
     """Integer numerators (over denominator sum(a)^r) of the multinomial
-    probabilities (r!/alpha!) x^alpha for x = a / sum(a), dropping zeros."""
+    probabilities (r!/alpha!) x^alpha for x = a / sum(a), dropping zeros: a
+    row per point of a grid of at most MAX_EXPANDED_POINTS points."""
+    _require_grid(n, r, MAX_EXPANDED_POINTS, "the direct moment sum")
     rows = []
     for alpha in compositions(n, r):
         weight = multinomial(r, alpha)

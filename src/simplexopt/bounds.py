@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinatorics import falling_factorial
-from .grid import GridMinimum, GridPoint, _require_order, grid_maximize, grid_minimize
+from .grid import MAX_GRID_POINTS, GridMinimum, GridPoint, _require_order, _size_within
+from .grid import grid_maximize, grid_minimize
 from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
@@ -367,7 +368,8 @@ def ptas_approximate(
     minimizing grid point, its exact value, and the certificate.
 
     With an exact range the returned value is guaranteed within
-    epsilon * (upper - lower) of the true minimum.
+    epsilon * (upper - lower) of the true minimum.  An accuracy that needs
+    a grid larger than a scan accepts is refused before the order search.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
@@ -379,6 +381,15 @@ def ptas_approximate(
         else:
             value = f.coefficient((0,) * f.n)
             rng = exact_range(value, value)
+    # the largest order, at most MAX_GRID_POINTS, whose grid a scan accepts
+    too_big = lambda r: r > MAX_GRID_POINTS or _size_within(f.n, r, MAX_GRID_POINTS) is None
+    top = _smallest_admissible(too_big, 1, first_guess=2) - 1
+    entry = THEOREMS[chosen]
+    if top < entry.minimum or entry.factor(top, f.d) > epsilon:
+        raise ValueError(
+            f"accuracy {epsilon} needs a grid order above {top}, the largest the PTAS scans in {f.n} "
+            f"variables: its grid has at most {MAX_GRID_POINTS} points, the most a scan accepts"
+        )
     r = min_grid_order(f.d, epsilon, chosen)
     gm = grid_minimize(f, r)
     cert = THEOREMS[chosen].certificates(f, r, rng, grid_result=gm)[0]

@@ -324,7 +324,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized verification")
 
     parser = argparse.ArgumentParser(
         prog="simplexopt",
@@ -348,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_grid_min)
 
     cmd = poly_command("bernstein", "compute the Bernstein approximation")
+    cmd.add_argument("--seed", type=int, default=0, help="seed for the route-agreement sample points")
     cmd.add_argument("--r", type=int, required=True, help="approximation order")
     cmd.add_argument("--route", choices=("def", "closed", "auto"), default="auto")
     cmd.add_argument(
@@ -383,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_stable_set)
 
     cmd = sub.add_parser("selftest", parents=[common], help="run the built-in identity suites")
+    cmd.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
     cmd.add_argument("--deep", action="store_true", help="widen the sweep ranges")
     cmd.set_defaults(func=_cmd_selftest)
 

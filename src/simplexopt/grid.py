@@ -2,10 +2,10 @@
 
 The order-r grid consists of the points alpha/r where alpha ranges over all
 nonnegative integer n-vectors summing to r.  This module enumerates those
-index vectors in lexicographic order, ranks/unranks them (combinatorial
-number system) so iteration can be partitioned into disjoint contiguous
-ranges, and scans them for exact extrema with a deterministic lexicographic
-tie-break.
+index vectors in lexicographic order, unranks them (combinatorial number
+system) to sample grid points, and scans them for exact extrema with a
+deterministic lexicographic tie-break.  Every scan, and every expansion of
+a whole grid, checks the grid's size against a limit before any work.
 
 Every grid scan runs through one vectorized kernel: the grid is produced as
 numpy blocks of index vectors and the polynomial, compiled to integer
@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import MultiIndex, _next_composition, compositions
+from .combinatorics import MultiIndex, compositions
 from .polynomial import HomogeneousPolynomial, Polynomial
 
 
@@ -78,23 +78,9 @@ def grid_size(n: int, r: int) -> int:
     return comb(n + r - 1, r)
 
 
-def composition_rank(alpha: MultiIndex) -> int:
-    """Position of alpha within the lexicographic enumeration of all
-    vectors with its length and total."""
-    n = len(alpha)
-    rank = 0
-    remaining = sum(alpha)
-    for i in range(n - 1):
-        slots = n - 1 - i
-        for v in range(alpha[i]):
-            rank += comb(slots + remaining - v - 1, slots - 1)
-        remaining -= alpha[i]
-    return rank
-
-
 def composition_unrank(n: int, r: int, rank: int) -> MultiIndex:
-    """Inverse of composition_rank: the rank-th vector in lexicographic
-    order among nonnegative n-vectors summing to r."""
+    """The rank-th vector, counting from 0, in lexicographic order among
+    nonnegative n-vectors summing to r."""
     total = grid_size(n, r)
     if rank < 0 or rank >= total:
         raise ValueError(f"rank {rank} outside [0, {total})")
@@ -115,21 +101,6 @@ def composition_unrank(n: int, r: int, rank: int) -> MultiIndex:
     return tuple(out)
 
 
-def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiIndex]:
-    """Yield the grid index vectors with ranks start <= rank < stop, in
-    order.  Disjoint ranges cover the grid without overlap."""
-    total = grid_size(n, r)
-    if not (0 <= start <= stop <= total):
-        raise ValueError(f"invalid range [{start}, {stop}) for grid of size {total}")
-    if start == stop:
-        return
-    cur = list(composition_unrank(n, r, start))
-    for _ in range(stop - start):
-        yield tuple(cur)
-        if not _next_composition(cur):
-            break
-
-
 # ---------------------------------------------------------------------------
 # Exact extrema
 # ---------------------------------------------------------------------------
@@ -139,72 +110,55 @@ def iter_grid_range(n: int, r: int, start: int, stop: int) -> Iterator[MultiInde
 # index-vector entries (n * rows), so wide grids get narrower blocks: large
 # enough that numpy's per-call overhead is spread over many points, small
 # enough that a block's working set (its index vectors, one int64 or object
-# row per variable, two accumulators) stays small.  A scan's suffix tables
-# are trimmed when they pass the same number of entries.
+# row per variable, two accumulators) stays small.
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 17
 # Largest grid a scan accepts; a larger one is refused before any work.
 MAX_GRID_POINTS = 10**8
+# Largest grid a walk that keeps a Python object per point accepts (the
+# definitional Bernstein form, the direct moment sum: tens of us, ~200 B each).
+MAX_EXPANDED_POINTS = 10**4
 _INT64_MAX = 2**63 - 1
 _LIMB_BUDGET = 2**61
 
 
-class _SuffixTables:
-    """Per-scan memo of the (m, C(s+m-1, s)) arrays of every composition of
-    s into m parts, one per column, in lexicographic order.
+def _closed_form(out: np.ndarray, s: int, c: int, anti: np.ndarray) -> None:
+    """Write into out columns c, c+1, ... of the table of every composition
+    of s into m = len(out) parts, for a total of 0 or 1 or for one or two
+    parts: column j of (m, 1) has its 1 in row m-1-j, a slice of the
+    anti-identity anti, and column j of (2, s) is (j, s-j)."""
+    m, cols = out.shape
+    if s == 0 or m == 1:
+        out[:] = s
+    elif s == 1:
+        if cols < m:
+            out[:] = 0
+        top = m - c - cols
+        out[top : top + cols] = anti[len(anti) - cols :, :cols]
+    else:
+        out[0] = np.arange(c, c + cols)
+        out[1] = s - out[0]
 
-    The compositions whose first part is 0 are those of s into m-1 parts
-    behind a 0; the rest are the compositions of s-1 into m parts with the
-    first part raised by one.  So table (m, s) is built from table (m-1, s)
-    and table (m, s-1), row m of the triangle from row m-1.  A row j holds
-    the tables (j, 0..k) built so far.  When the memo passes _BLOCK_CELLS
-    entries, every row but the last two built is dropped, so a table for
-    many parts, e.g. (m, 1) with its m^2 entries, never keeps the whole
-    triangle below it alive.  One and two parts have closed forms, so a
-    large total never builds a long row of tiny tables, and nor does a zero
-    total over many parts.
-    """
 
-    def __init__(self, dtype: np.dtype):
-        self.dtype = dtype
-        self.rows: dict[int, list[np.ndarray]] = {}
-        self.held = 0
-
-    def get(self, m: int, s: int) -> np.ndarray:
-        if len(self.rows.get(m, ())) > s:
-            return self.rows[m][s]
-        if s == 0:
-            return np.zeros((m, 1), self.dtype)
-        if m == 1:
-            return np.full((1, 1), s, self.dtype)
-        if m == 2:
-            first = np.arange(s + 1, dtype=self.dtype)
-            return np.stack((first, s - first))
-        # rebuild from the deepest row that already reaches total s
-        low = m
-        while low > 1 and len(self.rows.get(low - 1, ())) <= s:
-            low -= 1
-        for j in range(low, m + 1):
-            row = self.rows.setdefault(j, [])
-            for k in range(len(row), s + 1):
-                if j == 1:
-                    t = np.full((1, 1), k, self.dtype)
-                elif k == 0:
-                    t = np.zeros((j, 1), self.dtype)
-                else:
-                    zero_first, raised = self.rows[j - 1][k], row[k - 1]
-                    w = zero_first.shape[1]
-                    t = np.empty((j, w + raised.shape[1]), self.dtype)
-                    t[0, :w] = 0
-                    t[1:, :w] = zero_first
-                    t[:, w:] = raised
-                    t[0, w:] += 1
-                row.append(t)
-                self.held += t.size
-            if self.held > _BLOCK_CELLS:
-                self.rows = {i: self.rows[i] for i in (j - 1, j) if i in self.rows}
-                self.held = sum(t.size for row in self.rows.values() for t in row)
-        return self.rows[m][s]
+def _suffix_table(tables: dict, anti: np.ndarray, m: int, s: int) -> np.ndarray:
+    """The (m, C(s+m-1, s)) array of every composition of s into m parts,
+    one per column, in lexicographic order: those with first part 0 are the
+    (m-1, s) table behind a 0, the rest the (m, s-1) table with the first
+    part raised by one.  Tables built so are memoised in tables."""
+    table = tables.get((m, s))
+    if table is None:
+        table = np.empty((m, comb(s + m - 1, s)), anti.dtype)
+        if s <= 1 or m <= 2:
+            _closed_form(table, s, 0, anti)
+            return table
+        zero_first = _suffix_table(tables, anti, m - 1, s)
+        w = zero_first.shape[1]
+        table[0, :w] = 0
+        table[1:, :w] = zero_first
+        table[:, w:] = _suffix_table(tables, anti, m, s - 1)
+        table[0, w:] += 1
+        tables[m, s] = table
+    return table
 
 
 def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
@@ -217,12 +171,13 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
     remaining total over the remaining slots"; the suffix tables are
     memoised for this scan only and dropped when the generator finishes.  A
     piece wider than a block is split by its next entry, except a piece with
-    total 1 or with two slots, which is written in closed form across as
-    many blocks as it fills.
+    a closed form, which is written across as many blocks as it fills.
     """
     dtype = np.min_scalar_type(r)
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
-    tables = _SuffixTables(dtype)
+    tables: dict = {}
+    # a total-1 piece is never written more than min(n, rows) columns at once
+    anti = np.eye(min(n, rows), dtype=dtype)[::-1]
     prefix = np.zeros(n, dtype)
     block = np.empty((n, rows), dtype)
     filled = 0
@@ -234,38 +189,35 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
         if k:
             prefix[k - 1] = v
         width = comb(s + m - 1, s)
-        if width > rows and (s == 1 or m == 2):
-            # the (m, 1) and (2, s) tables in closed form, a slice of columns
-            # at a time: column c of (m, 1) has its 1 in row m-1-c, column c
-            # of (2, s) is (c, s-c)
+        if width <= rows:
+            if filled + width > rows:
+                yield block[:, :filled]
+                block = np.empty((n, rows), dtype)
+                filled = 0
+            end = filled + width
+            block[:k, filled:end] = prefix[:k, None]
+            if s <= 1 or m <= 2:
+                _closed_form(block[k:, filled:end], s, 0, anti)
+            else:
+                block[k:, filled:end] = _suffix_table(tables, anti, m, s)
+            filled = end
+        elif s <= 1 or m <= 2:
+            # a wide closed form fills this block and then whole blocks, a
+            # slice of columns at a time
             c = 0
             while c < width:
                 if filled == rows:
                     yield block
                     block = np.empty((n, rows), dtype)
                     filled = 0
-                cols = np.arange(min(width - c, rows - filled))
-                piece = block[:, filled : filled + cols.size]
+                cols = min(width - c, rows - filled)
+                piece = block[:, filled : filled + cols]
                 piece[:k] = prefix[:k, None]
-                if s == 1:
-                    piece[k:] = 0
-                    piece[k + m - 1 - c - cols, cols] = 1
-                else:
-                    piece[k] = c + cols
-                    piece[k + 1] = s - piece[k]
-                filled += cols.size
-                c += cols.size
-            continue
-        if width > rows:
+                _closed_form(piece[k:], s, c, anti)
+                filled += cols
+                c += cols
+        else:
             stack.extend((k + 1, u, m - 1, s - u) for u in range(s, -1, -1))
-            continue
-        if filled + width > rows:
-            yield block[:, :filled]
-            block = np.empty((n, rows), dtype)
-            filled = 0
-        block[:k, filled : filled + width] = prefix[:k, None]
-        block[k:, filled : filled + width] = tables.get(m, s)
-        filled += width
     yield block[:, :filled]
 
 
@@ -393,17 +345,26 @@ def _require_order(r: int, minimum: int = 1) -> None:
         raise ValueError(f"grid order must be an integer >= {minimum}, got {r!r}")
 
 
+def _size_within(n: int, r: int, limit: int) -> int | None:
+    """grid_size(n, r) if at most limit, else None.  C(n+r-1, r) is at least
+    2^min(n-1, r), so a large min(n-1, r) needs no huge binomial."""
+    if min(n - 1, r) >= limit.bit_length() or grid_size(n, r) > limit:
+        return None
+    return grid_size(n, r)
+
+
+def _require_grid(n: int, r: int, limit: int, walk: str) -> int:
+    """Size of the order-r grid in n variables, refusing more than limit
+    points.  Every scan and grid expansion calls this before any work."""
+    size = _size_within(n, r, limit)
+    if size is None:
+        raise ValueError(f"the order-{r} grid in {n} variables has more than {limit} points, the most {walk} accepts")
+    return size
+
+
 def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
     _require_order(r)
-    # C(n+r-1, r) >= 2^min(n-1, r), so a large min(n-1, r) is refused
-    # without computing a huge binomial
-    small = min(f.n - 1, r) < MAX_GRID_POINTS.bit_length()
-    size = grid_size(f.n, r) if small else None
-    if size is None or size > MAX_GRID_POINTS:
-        raise ValueError(
-            f"the order-{r} grid in {f.n} variables has more than "
-            f"{MAX_GRID_POINTS} points, the most a scan accepts"
-        )
+    size = _require_grid(f.n, r, MAX_GRID_POINTS, "a scan")
     kernel = _Kernel(f, r)
     best_v: int | None = None
     best_a: list[int] = []
@@ -451,15 +412,15 @@ def sum_of_powers_grid_min(n: int, r: int, d: int) -> Fraction:
     return s * Fraction(k + 1, r) ** d + (n - s) * Fraction(k, r) ** d
 
 
-def sample_grid_points(
-    n: int, count: int, rng: Random, order: int = 37
-) -> list[tuple[Fraction, ...]]:
-    """Draw `count` uniform points from the order-`order` grid (default 37, a
-    prime, so sampled points rarely align with the small grids under test).
-    Exact rational coordinates; duplicates possible."""
-    total = grid_size(n, order)
+_SAMPLE_ORDER = 37  # a prime, so samples rarely align with the small grids under test
+
+
+def sample_grid_points(n: int, count: int, rng: Random) -> list[tuple[Fraction, ...]]:
+    """Draw `count` uniform points from the order-37 grid.  Exact rational
+    coordinates; duplicates possible."""
+    total = grid_size(n, _SAMPLE_ORDER)
     points = []
     for _ in range(count):
-        alpha = composition_unrank(n, order, rng.randrange(total))
-        points.append(tuple(Fraction(a, order) for a in alpha))
+        alpha = composition_unrank(n, _SAMPLE_ORDER, rng.randrange(total))
+        points.append(tuple(Fraction(a, _SAMPLE_ORDER) for a in alpha))
     return points

@@ -132,6 +132,12 @@ def scale(f: HomogeneousPolynomial, c: RationalLike) -> HomogeneousPolynomial:
 
 _OPS = set("+-*/^")
 
+# Each parsed term holds an n-long exponent vector, so terms times n is capped
+# before one is allocated; the degree too, as the kernel holds a factor per
+# unit of degree and the closed-form routes Stirling rows as deep.
+MAX_TERM_ENTRIES = 10**6
+MAX_DEGREE = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     """Return (kind, value, position) triples; kind is 'int' or the operator
@@ -167,6 +173,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.end = len(text)
+        self.entries = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -218,10 +225,12 @@ class _Parser:
 
     def parse_term(self) -> tuple[Fraction, MultiIndex, int]:
         start = self.here()
-        kind = self.peek()
         coeff = Fraction(1)
+        self.entries += self.n
+        if self.entries > MAX_TERM_ENTRIES:
+            raise ParseError(f"terms times variables pass {MAX_TERM_ENTRIES}, the most a polynomial may hold", start)
         exps = [0] * self.n
-        if kind == "int":
+        if self.peek() == "int":
             numer, _ = self.expect_int("coefficient")
             coeff = Fraction(numer)
             if self.peek() == "/":
@@ -230,21 +239,21 @@ class _Parser:
                 if denom == 0:
                     raise ParseError("denominator must be positive", dpos)
                 coeff = Fraction(numer, denom)
-            if self.peek() == "*":
-                self.take()
-                self.parse_factor(exps)
-            else:
+            if self.peek() != "*":
                 return coeff, tuple(exps), start
-        elif kind == "x":
-            self.parse_factor(exps)
-        else:
+            self.take()
+        elif self.peek() != "x":
             raise ParseError("expected coefficient or variable", start)
+        degree = self.parse_factor(exps)
         while self.peek() == "*":
             self.take()
-            self.parse_factor(exps)
+            degree += self.parse_factor(exps)
+        if degree > MAX_DEGREE:
+            raise ParseError(f"term degree passes {MAX_DEGREE}, the most a polynomial may have", start)
         return coeff, tuple(exps), start
 
-    def parse_factor(self, exps: list[int]) -> None:
+    def parse_factor(self, exps: list[int]) -> int:
+        """Add one factor to exps and return its exponent."""
         if self.peek() != "x":
             raise ParseError("expected variable", self.here())
         _, _, xpos = self.take()
@@ -258,6 +267,7 @@ class _Parser:
             if power == 0:
                 raise ParseError("exponent must be a positive integer", ppos)
         exps[index - 1] += power
+        return power
 
 
 def parse_polynomial(text: str, n: int) -> HomogeneousPolynomial:

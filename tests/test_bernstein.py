@@ -23,7 +23,9 @@ from simplexopt import (
     parse_polynomial,
     sample_grid_points,
 )
-from simplexopt.grid import _Kernel
+from simplexopt import bernstein as bernstein_module
+from simplexopt.grid import MAX_EXPANDED_POINTS, _Kernel, grid_size
+from simplexopt.polynomial import MAX_DEGREE
 from conftest import random_polynomial
 
 F = Fraction
@@ -59,6 +61,22 @@ class TestDefinitional:
         result = bernstein_definitional(zero, 3).homogeneous
         assert result.terms == {} and result.d == 3
 
+    def test_grid_limit_is_checked_before_any_work(self, monkeypatch):
+        f = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
+        monkeypatch.setattr(bernstein_module, "MAX_EXPANDED_POINTS", grid_size(3, 4))
+        assert len(bernstein_definitional(f, 4).homogeneous.terms) == grid_size(3, 4)
+
+        def no_compile(*args):
+            raise AssertionError("the kernel was compiled for a refused grid")
+
+        monkeypatch.setattr(bernstein_module, "_Kernel", no_compile)
+        with pytest.raises(ValueError, match="points"):
+            bernstein_definitional(f, 5)
+        monkeypatch.undo()
+        assert grid_size(200, 200) > MAX_EXPANDED_POINTS
+        with pytest.raises(ValueError, match="points"):
+            bernstein_definitional(parse_polynomial("x1^2 + x2^2", 200), 200)
+
 
 class TestClosedFormMonomials:
     def test_linear_is_identity(self):
@@ -81,6 +99,18 @@ class TestClosedFormMonomials:
         for r in (3, 4, 9):
             result = bernstein_closed_form(monomial(3, (1, 1, 1)), r).reduced
             assert result.terms == {(1, 1, 1): F((r - 1) * (r - 2), r * r)}
+
+    def test_stirling_walk_is_capped(self, monkeypatch):
+        # the walk takes max(beta_i, 1) values in slot i
+        monkeypatch.setattr(bernstein_module, "MAX_STIRLING_TUPLES", 12)
+        assert bernstein_closed_form(monomial(3, (0, 3, 4)), 2).reduced is not None
+        with pytest.raises(ValueError, match="Stirling"):
+            bernstein_closed_form(monomial(3, (0, 3, 5)), 2)
+        with pytest.raises(ValueError, match="Stirling"):
+            moment_stirling(3, 2, (0, 3, 5), [F(1, 3)] * 3)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="Stirling"):
+            bernstein_closed_form(monomial(5, (40,) * 5), 3)
 
     def test_pure_cube(self):
         r = 5
@@ -346,6 +376,21 @@ class TestMoments:
             moment_direct(2, 2, (1, 0), [F(1, 2), F(1, 3)])
         with pytest.raises(ValueError):
             moment_stirling(2, 2, (1, 0), [F(3, 2), F(-1, 2)])
+
+    def test_moment_order_is_capped(self):
+        x = [F(1, 3), F(2, 3)]
+        assert moment_direct(2, 3, (MAX_DEGREE, 0), x) == moment_stirling(2, 3, (MAX_DEGREE, 0), x)
+        for route in (moment_direct, moment_stirling):
+            for beta in ((MAX_DEGREE, 1), (10**9, 0)):
+                with pytest.raises(ValueError, match="moment order"):
+                    route(2, 3, beta, x)
+
+    def test_direct_sum_grid_is_capped(self):
+        x, beta = [F(1, 30)] * 30, (1,) + (0,) * 29
+        assert grid_size(30, 30) > MAX_EXPANDED_POINTS
+        with pytest.raises(ValueError, match="points"):
+            moment_direct(30, 30, beta, x)
+        assert moment_stirling(30, 30, beta, x) == 1
 
     def test_rejects_bad_moment_orders(self):
         x = [F(1, 2), F(1, 2)]

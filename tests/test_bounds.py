@@ -21,6 +21,7 @@ from simplexopt import (
     stable_set_bounds,
     sum_of_powers_grid_min,
 )
+from simplexopt import bounds as bounds_module, grid as grid_module
 from conftest import random_polynomial
 
 F = Fraction
@@ -279,6 +280,26 @@ class TestPtasApproximate:
     def test_theorem_override(self):
         _, _, cert = ptas_approximate(sum_of_squares(2), F(1, 2), theorem="general")
         assert cert.theorem == "general"
+
+    def test_order_is_bounded_by_the_grid_limit(self, monkeypatch):
+        # two variables and a 15-point limit admit orders up to 14
+        for module in (bounds_module, grid_module):
+            monkeypatch.setattr(module, "MAX_GRID_POINTS", 15)
+        _, _, cert = ptas_approximate(sum_of_squares(2), F(1, 14))
+        assert cert.r == 14
+
+        def no_search(*args):
+            raise AssertionError("the order search ran for a refused accuracy")
+
+        monkeypatch.setattr(bounds_module, "min_grid_order", no_search)
+        with pytest.raises(ValueError, match="15 points"):
+            ptas_approximate(sum_of_squares(2), F(1, 15))
+        monkeypatch.undo()
+        monkeypatch.setattr(bounds_module, "min_grid_order", no_search)
+        # the general family at d = 100 needs an order of hundreds of digits
+        with pytest.raises(ValueError, match="points") as err:
+            ptas_approximate(parse_polynomial("x1^100 + x2^100", 2), F(1, 2))
+        assert all(len(word) < 20 for word in str(err.value).split())  # no huge order
 
     def test_accuracy_guarantee_on_known_families(self):
         # (polynomial, true min, true max, accuracy target)

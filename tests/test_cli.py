@@ -330,6 +330,35 @@ class TestArgErrors:
         assert exc.value.code == 2
 
 
+class TestLimits:
+    @pytest.mark.parametrize(
+        "argv, code, fragment",
+        [
+            (["grid-min", "x1^2", "--n", "100000000", "--r", "2", "--json"], 2, "terms times variables"),
+            (["grid-min", "x1^100000000 + x2^100000000", "--n", "2", "--r", "2"], 2, "term degree"),
+            (["bound", "x1^100000000 + x2^100000000", "--n", "2", "--r", "2"], 2, "term degree"),
+            (["moments", "--n", "6", "--r", "3", "--beta", "30,30,30,30,30,30", "--x", ",".join(["1/6"] * 6)], 3, "Stirling"),
+            (["bernstein", "x1^40*x2^40*x3^40*x4^40*x5^40", "--n", "5", "--r", "3", "--route", "closed"], 3, "Stirling"),
+            (["moments", "--n", "2", "--r", "3", "--beta", "1000000000,0", "--x", "1/3,2/3"], 3, "moment order"),
+            (["ptas", "x1^100 + x2^100", "--n", "2", "--epsilon", "1/2"], 3, "points"),
+            (["bernstein", "x1^2 + x2^2", "--n", "200", "--r", "200", "--route", "def", "--json"], 3, "points"),
+            (["moments", "--n", "30", "--r", "30", "--beta", ",".join(["1"] + ["0"] * 29), "--x", ",".join(["1/30"] * 30)], 3, "points"),
+        ],
+    )
+    def test_limit_is_refused_at_once(self, capsys, argv, code, fragment):
+        start = perf_counter()
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == "" and fragment in err
+        assert perf_counter() - start < 1.0
+
+    def test_seed_belongs_to_randomized_commands_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid-min", "x1^2", "--n", "1", "--r", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        code, _, _ = run(capsys, "bernstein", "x1^2 + x2^2", "--n", "2", "--r", "3", "--seed", "7")
+        assert code == 0
+
+
 class TestInternalInvariantSurfaces:
     def test_moment_mismatch_exits_four(self, capsys, monkeypatch):
         import simplexopt.cli as cli_module

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from collections import deque
+from math import comb
 from itertools import islice, zip_longest
 from random import Random
 import tracemalloc
@@ -13,7 +14,6 @@ from simplexopt import (
     GridPoint,
     HomogeneousPolynomial,
     coefficient_range_bounds,
-    composition_rank,
     composition_unrank,
     compositions,
     enumerate_grid,
@@ -21,12 +21,12 @@ from simplexopt import (
     grid_maximize,
     grid_minimize,
     grid_size,
-    iter_grid_range,
     motzkin_straus,
     parse_polynomial,
     sum_of_powers_grid_min,
 )
 from simplexopt import grid as grid_module
+from simplexopt.combinatorics import _next_composition
 from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
 from conftest import naive_evaluate, random_polynomial
 
@@ -62,11 +62,10 @@ class TestEnumeration:
         for n in range(1, 6):
             assert grid_size(n, 0) == 1
 
-    def test_rank_unrank_round_trip(self):
+    def test_unrank_matches_enumeration(self):
         for n in range(1, 5):
             for r in range(0, 6):
                 for rank, alpha in enumerate(enumerate_grid(n, r)):
-                    assert composition_rank(alpha) == rank
                     assert composition_unrank(n, r, rank) == alpha
 
     def test_unrank_out_of_range(self):
@@ -75,27 +74,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             composition_unrank(3, 2, -1)
 
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            list(iter_grid_range(3, 2, 2, 1))
-        with pytest.raises(ValueError):
-            list(iter_grid_range(3, 2, 0, 7))
-        assert list(iter_grid_range(3, 2, 3, 3)) == []
-
     def test_size_validation(self):
         with pytest.raises(ValueError):
             grid_size(0, 2)
         with pytest.raises(ValueError):
             grid_size(2, -1)
-
-    def test_partitioned_ranges_cover_grid(self):
-        full = list(enumerate_grid(4, 5))
-        total = grid_size(4, 5)
-        cuts = [0, 10, 11, 40, total]
-        stitched = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            stitched.extend(iter_grid_range(4, 5, lo, hi))
-        assert stitched == full
 
 
 class TestGridPoint:
@@ -304,6 +287,35 @@ def general_polynomials(draw):
     return GeneralPolynomial(n, {beta: draw(coefficients(big)) for beta in support})
 
 
+def spy_table_lookups(monkeypatch):
+    """Record (m, s) for every whole suffix table written, built or in
+    closed form; a wide piece written a slice at a time records nothing."""
+    requested = []
+    closed_form, suffix_table = grid_module._closed_form, grid_module._suffix_table
+
+    def closed_spy(out, s, c, anti):
+        if out.shape[1] == comb(s + len(out) - 1, s):
+            requested.append((len(out), s))
+        closed_form(out, s, c, anti)
+
+    def table_spy(tables, anti, m, s):
+        requested.append((m, s))
+        return suffix_table(tables, anti, m, s)
+
+    monkeypatch.setattr(grid_module, "_closed_form", closed_spy)
+    monkeypatch.setattr(grid_module, "_suffix_table", table_spy)
+    return requested
+
+
+def last_points(n, r, count):
+    """The last `count` index vectors of the order-r grid, in order."""
+    cur = list(composition_unrank(n, r, grid_size(n, r) - count))
+    points = [list(cur)]
+    while _next_composition(cur):
+        points.append(list(cur))
+    return points
+
+
 class TestBlockKernel:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -328,13 +340,7 @@ class TestBlockKernel:
         # built as a table nor split into single points
         monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
         rows = min(block_rows, _BLOCK_CELLS // n)
-        requested = []
-        get = grid_module._SuffixTables.get
-        monkeypatch.setattr(
-            grid_module._SuffixTables,
-            "get",
-            lambda tables, m, s: requested.append((m, s)) or get(tables, m, s),
-        )
+        requested = spy_table_lookups(monkeypatch)
         total = grid_size(n, r)
         head = min(total, 2000)
         start, end = [], deque(maxlen=head // rows + 2)
@@ -364,20 +370,14 @@ class TestBlockKernel:
         assert len(requested) < blocks
         # and, read off at both ends, the very points enumerate_grid yields
         assert np.hstack(start)[:, :head].T.tolist() == list(map(list, islice(enumerate_grid(n, r), head)))
-        assert np.hstack(end)[:, -head:].T.tolist() == list(map(list, iter_grid_range(n, r, total - head, total)))
+        assert np.hstack(end)[:, -head:].T.tolist() == last_points(n, r, head)
 
     @pytest.mark.parametrize("n, r, block_rows", [(2, 5000, _BLOCK_ROWS), (3, 200, 64), (4, 40, 16)])
     def test_wide_two_slot_pieces_are_sliced_in_order(self, monkeypatch, n, r, block_rows):
         # a (2, s) piece wider than a block is written in closed form, not
         # split into single points
         monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
-        requested = []
-        get = grid_module._SuffixTables.get
-        monkeypatch.setattr(
-            grid_module._SuffixTables,
-            "get",
-            lambda tables, m, s: requested.append((m, s)) or get(tables, m, s),
-        )
+        requested = spy_table_lookups(monkeypatch)
         blocks = list(_grid_blocks(n, r))
         assert all(1 <= b.shape[1] <= block_rows for b in blocks)
         columns = [tuple(col) for b in blocks for col in b.T.tolist()]
@@ -385,6 +385,18 @@ class TestBlockKernel:
         # a split into single points would take a lookup per point
         assert not [(m, s) for m, s in requested if m == 2 and s + 1 > block_rows]
         assert len(requested) < len(blocks)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), r=st.integers(0, 12), block_rows=st.sampled_from([1, 2, 3, 7, 64]))
+    def test_blocks_match_enumeration_at_any_block_size(self, n, r, block_rows):
+        # narrow blocks send pieces down every path: memoised tables, closed
+        # forms, splits and slices of wide closed forms
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
+            blocks = list(_grid_blocks(n, r))
+        assert all(1 <= b.shape[1] <= block_rows and b.size <= _BLOCK_CELLS for b in blocks)
+        columns = [tuple(col) for b in blocks for col in b.T.tolist()]
+        assert columns == list(enumerate_grid(n, r))
 
     def test_first_block_of_a_huge_two_slot_grid_is_cheap(self):
         tracemalloc.start()
@@ -412,10 +424,11 @@ class TestBlockKernel:
                 with pytest.raises(ValueError, match="points"):
                     scan(g, r)
 
-    @pytest.mark.parametrize("n, r", [(1100, 1), (400, 2), (2, 1000)])
+    @pytest.mark.parametrize("n, r", [(1100, 1), (400, 2), (2, 1000), (45, 6)])
     def test_wide_grids_stream_in_bounded_memory(self, n, r):
         # a table for many parts and a small total, e.g. (m, 1) with m^2
-        # entries, must not keep the whole triangle of smaller tables alive
+        # entries, is never built; (45, 6) memoises about 0.6 MB of tables,
+        # as much as any grid a scan accepts
         tracemalloc.start()
         try:
             points = sum(b.shape[1] for b in _grid_blocks(n, r))

@@ -20,7 +20,7 @@ from simplexopt import (
     sample_grid_points,
     scale,
 )
-from simplexopt.polynomial import MAX_GRAPH_VERTICES
+from simplexopt.polynomial import MAX_DEGREE, MAX_GRAPH_VERTICES, MAX_TERM_ENTRIES
 from conftest import naive_evaluate, random_polynomial
 
 F = Fraction
@@ -85,6 +85,22 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_polynomial("x1 + x9", 2)
         assert err.value.position == 5
+
+    def test_term_entries_are_capped_before_allocation(self):
+        n = MAX_TERM_ENTRIES // 2
+        assert len(parse_polynomial("x1^2 + x2^2", n).terms) == 2
+        with pytest.raises(ParseError, match="terms times variables") as err:
+            parse_polynomial("x1^2 + x2^2 + x3^2", n)
+        assert err.value.position == 14
+        with pytest.raises(ParseError, match="terms times variables"):
+            parse_polynomial("x1", 10**8)
+
+    def test_term_degree_is_capped(self):
+        top = f"x1^{MAX_DEGREE - 1}*x2"
+        assert parse_polynomial(top, 2).d == MAX_DEGREE
+        for text in (f"x1^{MAX_DEGREE}*x2", "x1^100000000 + x2^100000000", "x1 + 3*x2^" + "9" * 4000):
+            with pytest.raises(ParseError, match="term degree"):
+                parse_polynomial(text, 2)
 
 
 class TestConstruction:
