@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod, sqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .polynomial import (
     is_square_free,
 )
 
-MAX_STIRLING_TUPLES = 10**5  # most gamma _stirling_weights walks for one monomial, a few us each
+MAX_STIRLING_TUPLES = 10**5  # most gamma one Stirling expansion walks over all its monomials, a few us each
 
 SOURCE_DEFINITIONAL = "definitional"
 SOURCE_CLOSED_FORM = "closed_form"
@@ -74,7 +74,6 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Degree-r homogeneous form: the coefficient of x^alpha is
     f(alpha/r) * r!/alpha!, a term per point of a grid of at most
     MAX_EXPANDED_POINTS points."""
-    _require_order(r)
     _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
     kernel = _Kernel(f, r)
     terms: dict[MultiIndex, Fraction] = {}
@@ -93,12 +92,9 @@ def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, in
     every gamma <= beta whose weight is nonzero.
 
     Only gamma with gamma_i >= 1 wherever beta_i >= 1 can contribute, since
-    S(b, 0) = 0 for b >= 1.  More than MAX_STIRLING_TUPLES such gamma are
-    refused before any work.
+    S(b, 0) = 0 for b >= 1, so the walk takes prod max(beta_i, 1) tuples.
     """
     ranges = [range(1, b + 1) if b else range(0, 1) for b in beta]
-    if prod(max(b, 1) for b in beta) > MAX_STIRLING_TUPLES:
-        raise ValueError(f"the Stirling expansion of x^{tuple(beta)} walks more than {MAX_STIRLING_TUPLES} tuples")
     for gamma in product(*ranges):
         sprod = 1
         for b_i, g_i in zip(beta, gamma):
@@ -107,6 +103,12 @@ def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, in
             weight = falling_factorial(r, sum(gamma)) * sprod
             if weight:
                 yield gamma, weight
+
+
+def _require_stirling(monomials: Iterable[MultiIndex]) -> None:
+    """Refuse an expansion whose walks take more than MAX_STIRLING_TUPLES gamma in all."""
+    if sum(prod(max(b, 1) for b in beta) for beta in monomials) > MAX_STIRLING_TUPLES:
+        raise ValueError(f"the Stirling expansion walks more than {MAX_STIRLING_TUPLES} tuples")
 
 
 def _monomial_closed_form(beta: MultiIndex, r: int) -> dict[MultiIndex, Fraction]:
@@ -119,6 +121,7 @@ def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Reduced form of degree <= d, built by summing the per-monomial
     Stirling closed forms weighted by the coefficients of f."""
     _require_order(r)
+    _require_stirling(f.terms)
     acc: dict[MultiIndex, Fraction] = {}
     for beta, c in f.terms.items():
         for gamma, w in _monomial_closed_form(beta, r).items():
@@ -254,7 +257,6 @@ def moment_direct(
 
         sum over |alpha| = r of  alpha^beta * (r!/alpha!) * x^alpha.
     """
-    _require_order(r)
     point = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
     xden = lcm(*(v.denominator for v in point))
@@ -283,6 +285,7 @@ def moment_stirling(
     _require_order(r)
     point = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
+    _require_stirling([beta])
     total = Fraction(0)
     for gamma, weight in _stirling_weights(beta, r):
         xpow = Fraction(1)

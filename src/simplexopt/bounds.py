@@ -400,6 +400,8 @@ def ptas_approximate(
 # Stable sets
 # ---------------------------------------------------------------------------
 
+MAX_BRUTE_VERTICES = 20  # the exact search visits up to 2^n vertex subsets
+
 
 def stable_set_bounds(
     adjacency: Sequence[Sequence[int]], r: int
@@ -418,9 +420,11 @@ def stable_set_bounds(
 
 
 def brute_force_stable_set_number(adjacency: Sequence[Sequence[int]]) -> int:
-    """Exact stable-set number by branch-and-bound on vertex inclusion.
-    Intended for small graphs (the 'slow but correct' oracle)."""
+    """Exact stable-set number by branch-and-bound on vertex inclusion, the
+    'slow but correct' oracle, for at most MAX_BRUTE_VERTICES vertices."""
     n = len(adjacency)
+    if n > MAX_BRUTE_VERTICES:
+        raise ValueError(f"an exact stable-set search takes at most {MAX_BRUTE_VERTICES} vertices, got {n}")
     neighbors = [
         sum(1 << j for j in range(n) if adjacency[i][j]) for i in range(n)
     ]

@@ -19,6 +19,7 @@ from time import perf_counter
 
 from .bernstein import bernstein_closed_form, bernstein_definitional, moment_direct, moment_stirling
 from .bounds import (
+    MAX_BRUTE_VERTICES,
     THEOREMS,
     BoundCertificate,
     RangeInput,
@@ -266,12 +267,8 @@ def _cmd_stable_set(args: argparse.Namespace) -> int:
     with open(args.graphfile, encoding="utf-8") as handle:
         adjacency = parse_graph(handle.read())
     n = len(adjacency)
+    brute = brute_force_stable_set_number(adjacency) if args.brute else None
     alpha_lower, f_grid, cert = stable_set_bounds(adjacency, args.r)
-    brute = None
-    if args.brute:
-        if n > 20:
-            raise ValueError(f"--brute supports at most 20 vertices, got {n}")
-        brute = brute_force_stable_set_number(adjacency)
     if args.json:
         payload = {
             "command": "stable-set",
@@ -379,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("stable-set", parents=[common], help="stable-set lower bound from a graph file")
     cmd.add_argument("graphfile", help="DIMACS-like edge list: 'p <n> <m>' then 'e <i> <j>' lines")
     cmd.add_argument("--r", type=int, required=True)
-    cmd.add_argument("--brute", action="store_true", help="also compute the exact stable-set number (n <= 20)")
+    cmd.add_argument(
+        "--brute", action="store_true", help=f"also compute the exact stable-set number (n <= {MAX_BRUTE_VERTICES})"
+    )
     cmd.set_defaults(func=_cmd_stable_set)
 
     cmd = sub.add_parser("selftest", parents=[common], help="run the built-in identity suites")
@@ -395,13 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_InputError, ParseError, OSError) as exc:  # ahead of ValueError: a ParseError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _InternalError as exc:

@@ -115,8 +115,8 @@ _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 17
 # Largest grid a scan accepts; a larger one is refused before any work.
 MAX_GRID_POINTS = 10**8
-# Largest grid a walk that keeps a Python object per point accepts (the
-# definitional Bernstein form, the direct moment sum: tens of us, ~200 B each).
+# Largest grid a walk with a Python object per point accepts (the definitional
+# form, the direct moment sum, a Python-int scan: tens of us, ~200 B each).
 MAX_EXPANDED_POINTS = 10**4
 _INT64_MAX = 2**63 - 1
 _LIMB_BUDGET = 2**61
@@ -354,8 +354,9 @@ def _size_within(n: int, r: int, limit: int) -> int | None:
 
 
 def _require_grid(n: int, r: int, limit: int, walk: str) -> int:
-    """Size of the order-r grid in n variables, refusing more than limit
-    points.  Every scan and grid expansion calls this before any work."""
+    """Size of the order-r grid in n variables; refuses an order below 1 or
+    more than limit points.  Every grid walk calls this before any work."""
+    _require_order(r)
     size = _size_within(n, r, limit)
     if size is None:
         raise ValueError(f"the order-{r} grid in {n} variables has more than {limit} points, the most {walk} accepts")
@@ -363,9 +364,10 @@ def _require_grid(n: int, r: int, limit: int, walk: str) -> int:
 
 
 def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
-    _require_order(r)
     size = _require_grid(f.n, r, MAX_GRID_POINTS, "a scan")
     kernel = _Kernel(f, r)
+    if kernel.dtype is object:
+        _require_grid(f.n, r, MAX_EXPANDED_POINTS, "a scan in Python ints")
     best_v: int | None = None
     best_a: list[int] = []
     for block in _grid_blocks(f.n, r):
@@ -384,8 +386,8 @@ def grid_minimize(f: Polynomial, r: int) -> GridMinimum:
     """Exact minimum of f over the order-r grid.
 
     Ties break to the lexicographically smallest index vector.  A grid of
-    more than MAX_GRID_POINTS points is refused with ValueError before any
-    work.
+    more than MAX_GRID_POINTS points (MAX_EXPANDED_POINTS when the kernel runs
+    on Python ints) is refused with ValueError before any work.
     """
     return _scan_extremum(f, r, prefer_smaller=True)
 

@@ -132,9 +132,10 @@ def scale(f: HomogeneousPolynomial, c: RationalLike) -> HomogeneousPolynomial:
 
 _OPS = set("+-*/^")
 
-# Each parsed term holds an n-long exponent vector, so terms times n is capped
-# before one is allocated; the degree too, as the kernel holds a factor per
-# unit of degree and the closed-form routes Stirling rows as deep.
+# Each parsed term, and each of a graph's n + m stable-set terms, holds an
+# n-long exponent vector, so terms times n is capped before one is allocated;
+# the degree too, as the kernel holds a factor per unit of degree and the
+# closed-form routes Stirling rows as deep.
 MAX_TERM_ENTRIES = 10**6
 MAX_DEGREE = 200
 
@@ -421,16 +422,11 @@ def motzkin_straus(adjacency: Sequence[Sequence[int]]) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(n, 2, terms)
 
 
-# The adjacency matrix has n^2 entries, and the stable-set form and its grid
-# scan grow with it, so a header may declare at most this many vertices.
-MAX_GRAPH_VERTICES = 1000
-
-
 def parse_graph(text: str) -> list[list[int]]:
     """Parse a DIMACS-like edge list: a header line "p <n> <m>" followed by m
     lines "e <i> <j>" with 1-indexed endpoints.  Comment lines starting with
-    'c' are skipped.  Returns the n x n adjacency matrix.  A header with more
-    than MAX_GRAPH_VERTICES vertices is rejected before anything is built."""
+    'c' are skipped.  Returns the n x n adjacency matrix.  A header whose
+    n + m stable-set terms of n entries pass MAX_TERM_ENTRIES is rejected first."""
     n: int | None = None
     declared = 0
     edges: list[tuple[int, int]] = []
@@ -453,8 +449,8 @@ def parse_graph(text: str) -> list[list[int]]:
                 raise ParseError("unreadable number in 'p' header", lineno) from None
             if n < 1:
                 raise ParseError("graph must have at least one vertex", lineno)
-            if n > MAX_GRAPH_VERTICES:
-                raise ParseError(f"graph may have at most {MAX_GRAPH_VERTICES} vertices", lineno)
+            if n * (n + declared) > MAX_TERM_ENTRIES:
+                raise ParseError(f"terms times variables of the graph's stable-set form pass {MAX_TERM_ENTRIES}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge line before 'p' header", lineno)

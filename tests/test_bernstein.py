@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexopt import (
     GeneralPolynomial,
@@ -26,7 +27,7 @@ from simplexopt import (
 from simplexopt import bernstein as bernstein_module
 from simplexopt.grid import MAX_EXPANDED_POINTS, _Kernel, grid_size
 from simplexopt.polynomial import MAX_DEGREE
-from conftest import random_polynomial
+from conftest import homogeneous_polynomials, random_polynomial
 
 F = Fraction
 EXAMPLE_QUADRATIC = "2*x1^2 + x2^2 - 5*x1*x2"
@@ -101,16 +102,26 @@ class TestClosedFormMonomials:
             assert result.terms == {(1, 1, 1): F((r - 1) * (r - 2), r * r)}
 
     def test_stirling_walk_is_capped(self, monkeypatch):
-        # the walk takes max(beta_i, 1) values in slot i
+        # the walk takes max(beta_i, 1) values in slot i, summed over the
+        # monomials of one expansion
         monkeypatch.setattr(bernstein_module, "MAX_STIRLING_TUPLES", 12)
         assert bernstein_closed_form(monomial(3, (0, 3, 4)), 2).reduced is not None
-        with pytest.raises(ValueError, match="Stirling"):
-            bernstein_closed_form(monomial(3, (0, 3, 5)), 2)
+        assert moment_stirling(3, 2, (0, 3, 4), [F(1, 3)] * 3) > 0
+        two = HomogeneousPolynomial(3, 7, {(0, 3, 4): F(1), (0, 4, 3): F(1)})
+
+        def no_walk(*args):
+            raise AssertionError("a refused expansion was walked")
+
+        monkeypatch.setattr(bernstein_module, "_stirling_weights", no_walk)
+        for f in (monomial(3, (0, 3, 5)), two):
+            with pytest.raises(ValueError, match="Stirling"):
+                bernstein_closed_form(f, 2)
         with pytest.raises(ValueError, match="Stirling"):
             moment_stirling(3, 2, (0, 3, 5), [F(1, 3)] * 3)
         monkeypatch.undo()
-        with pytest.raises(ValueError, match="Stirling"):
-            bernstein_closed_form(monomial(5, (40,) * 5), 3)
+        for f in (monomial(5, (40,) * 5), parse_polynomial("x1^10*x2^10*x3^10*x4^10*x5^10 + x1^9*x2^11*x3^10*x4^10*x5^10", 5)):
+            with pytest.raises(ValueError, match="Stirling"):
+                bernstein_closed_form(f, 3)
 
     def test_pure_cube(self):
         r = 5
@@ -254,36 +265,26 @@ class TestRouteAgreement:
             for x in sample_grid_points(n, 10, rng):
                 assert evaluate(definitional, x) == evaluate(closed, x)
 
-    def test_definitional_equals_closed_form_as_polynomial_identity(self, rng):
+    @settings(max_examples=40, deadline=None)
+    @given(f=homogeneous_polynomials(n=st.integers(1, 3), d=st.integers(1, 4)), r=st.integers(1, 6))
+    def test_definitional_equals_closed_form_as_polynomial_identity(self, f, r):
         # full identity modulo sum(x) = 1, not just sampled agreement
-        for _ in range(12):
-            n = rng.randint(1, 3)
-            d = rng.randint(1, 4)
-            r = rng.randint(1, 6)
-            f = random_polynomial(rng, n, d)
-            definitional = bernstein_definitional(f, r).homogeneous
-            closed = bernstein_closed_form(f, r).reduced
-            assert equal_on_simplex(definitional, closed)
+        definitional = bernstein_definitional(f, r).homogeneous
+        closed = bernstein_closed_form(f, r).reduced
+        assert equal_on_simplex(definitional, closed)
 
-    def test_specialized_terms_match_closed_form(self, rng):
-        for _ in range(20):
-            n = rng.randint(2, 4)
-            r = rng.randint(1, 8)
-            quad = random_polynomial(rng, n, 2)
-            assert (
-                bernstein_quadratic(quad, r).reduced.terms
-                == bernstein_closed_form(quad, r).reduced.terms
-            )
-            cubic = random_polynomial(rng, n, 3)
-            assert (
-                bernstein_cubic(cubic, r).reduced.terms
-                == bernstein_closed_form(cubic, r).reduced.terms
-            )
-            sqf = random_polynomial(rng, n, rng.randint(1, n), square_free=True)
-            assert (
-                bernstein_squarefree(sqf, r).reduced.terms
-                == bernstein_closed_form(sqf, r).reduced.terms
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just(bernstein_quadratic), homogeneous_polynomials(n=st.integers(2, 4), d=st.just(2))),
+            st.tuples(st.just(bernstein_cubic), homogeneous_polynomials(n=st.integers(2, 4), d=st.just(3))),
+            st.tuples(st.just(bernstein_squarefree), homogeneous_polynomials(n=st.integers(2, 4), square_free=True)),
+        ),
+        r=st.integers(1, 8),
+    )
+    def test_specialized_terms_match_closed_form(self, case, r):
+        specialized, f = case
+        assert specialized(f, r).reduced.terms == bernstein_closed_form(f, r).reduced.terms
 
     def test_values_dominate_grid_minimum(self, rng):
         for _ in range(15):

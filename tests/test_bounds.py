@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexopt import (
     HomogeneousPolynomial,
@@ -22,7 +23,7 @@ from simplexopt import (
     sum_of_powers_grid_min,
 )
 from simplexopt import bounds as bounds_module, grid as grid_module
-from conftest import random_polynomial
+from conftest import homogeneous_polynomials, random_polynomial
 
 F = Fraction
 
@@ -191,20 +192,25 @@ class TestRelaxedProvenance:
         assert cert.satisfied
         assert cert.ratio is None
 
-    def test_random_certificates_never_violated(self, rng):
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            r = rng.randint(1, 8)
-            quad = random_polynomial(rng, n, 2)
-            assert bound_quadratic(quad, r, coefficient_range(quad)).satisfied
-            cubic = random_polynomial(rng, n, 3)
-            if r >= 2:
-                assert bound_cubic(cubic, r, coefficient_range(cubic)).satisfied
-            sqf = random_polynomial(rng, n, rng.randint(1, n), square_free=True)
-            assert bound_squarefree(sqf, r, coefficient_range(sqf)).satisfied
-            anyd = random_polynomial(rng, n, rng.randint(1, 4))
-            for cert in bound_general(anyd, r, coefficient_range(anyd)):
-                assert cert.satisfied
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.one_of(
+            homogeneous_polynomials(n=st.integers(2, 4), d=st.integers(1, 4)),
+            homogeneous_polynomials(n=st.integers(2, 4), d=st.integers(1, 4), square_free=True),
+        ),
+        r=st.integers(1, 8),
+    )
+    def test_random_certificates_never_violated(self, f, r):
+        # every family that applies, under both relaxed provenances
+        families = [entry for entry in bounds_module.THEOREMS.values() if entry.applies(f) and r >= entry.minimum]
+        assert families
+        for rng in (coefficient_range(f), grid_range(f, r)):
+            for entry in families:
+                for cert in entry.certificates(f, r, rng):
+                    assert cert.satisfied == (cert.gap <= cert.bound_value)
+                    assert cert.gap == cert.grid_value - cert.range.lower
+                    assert cert.bound_value >= cert.range.span
+                    assert cert.satisfied
 
     def test_grid_surrogate_certificates_hold(self, rng):
         for _ in range(20):

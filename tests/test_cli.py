@@ -263,13 +263,61 @@ class TestStableSet:
         graph = tmp_path / "wide.dimacs"
         graph.write_text(header + "\n", encoding="utf-8")
         code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
-        assert code == 2 and "at most 1000 vertices" in err
+        assert code == 2 and "terms times variables" in err
+
+    def test_complete_graph_on_200_vertices_is_refused_at_once(self, capsys, tmp_path):
+        # its stable-set form has 200 + 19,900 terms of 200 entries each
+        edges = [f"e {i} {j}" for i in range(1, 201) for j in range(i + 1, 201)]
+        graph = tmp_path / "k200.dimacs"
+        graph.write_text("\n".join([f"p 200 {len(edges)}", *edges]) + "\n", encoding="utf-8")
+        start = perf_counter()
+        code, out, err = run(capsys, "stable-set", str(graph), "--r", "2")
+        assert code == 2 and out == "" and "terms times variables" in err
+        assert perf_counter() - start < 1.0
+
+    def test_brute_search_is_refused_before_the_scan(self, capsys, tmp_path, monkeypatch):
+        import simplexopt.bounds as bounds_module
+
+        scans, grid_minimize = [], bounds_module.grid_minimize
+
+        def spy(*args):
+            scans.append(args)
+            return grid_minimize(*args)
+
+        monkeypatch.setattr(bounds_module, "grid_minimize", spy)
+        graph = tmp_path / "path21.dimacs"
+        graph.write_text("p 21 20\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 21)), encoding="utf-8")
+        start = perf_counter()
+        code, out, err = run(capsys, "stable-set", str(graph), "--r", "2", "--brute")
+        assert code == 3 and out == "" and "at most 20 vertices" in err
+        assert perf_counter() - start < 1.0 and scans == []
+        assert run(capsys, "stable-set", str(graph), "--r", "2")[0] == 0 and len(scans) == 1
 
     def test_edge_field_with_non_ascii_digit(self, capsys, tmp_path):
         graph = tmp_path / "superscript.dimacs"
         graph.write_text("p 2 1\ne 1 ²\n", encoding="utf-8")
         code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
         assert code == 2 and "unreadable vertex number" in err
+
+
+class TestTextMode:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["bound", "x1^2 + x2^2", "--n", "2", "--r", "4"], "satisfied:"),
+            (["ptas", EXAMPLE_QUADRATIC, "--n", "2", "--epsilon", "1/7"], "grid order r:"),
+            (["moments", "--n", "2", "--r", "3", "--beta", "2,0", "--x", "1/3,2/3"], "routes agree exactly"),
+            (["stable-set", "{graph}", "--r", "2", "--brute"], "stable-set number (brute force):"),
+            (["selftest"], "ok "),
+            (["bernstein", "x1^3 + x2^3", "--n", "2", "--r", "3", "--eval", "1/3,2/3"], "value at ("),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_prints_its_key_line(self, capsys, tmp_path, argv, key):
+        graph = tmp_path / "c5.dimacs"
+        graph.write_text("p 5 5\n" + "".join(f"e {i + 1} {(i + 1) % 5 + 1}\n" for i in range(5)), encoding="utf-8")
+        code, out, _ = run(capsys, *[str(graph) if a == "{graph}" else a for a in argv])
+        assert code == 0 and key in out
 
 
 class TestSelftest:
@@ -343,6 +391,8 @@ class TestLimits:
             (["ptas", "x1^100 + x2^100", "--n", "2", "--epsilon", "1/2"], 3, "points"),
             (["bernstein", "x1^2 + x2^2", "--n", "200", "--r", "200", "--route", "def", "--json"], 3, "points"),
             (["moments", "--n", "30", "--r", "30", "--beta", ",".join(["1"] + ["0"] * 29), "--x", ",".join(["1/30"] * 30)], 3, "points"),
+            (["grid-min", "x1^200 + x2^200", "--n", "2", "--r", "100000"], 3, "points"),
+            (["bernstein", "x1^10*x2^10*x3^10*x4^10*x5^10 + x1^9*x2^11*x3^10*x4^10*x5^10", "--n", "5", "--r", "3", "--route", "closed"], 3, "Stirling"),
         ],
     )
     def test_limit_is_refused_at_once(self, capsys, argv, code, fragment):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from simplexopt import (
     GeneralPolynomial,
@@ -28,7 +28,7 @@ from simplexopt import (
 from simplexopt import grid as grid_module
 from simplexopt.combinatorics import _next_composition
 from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
-from conftest import naive_evaluate, random_polynomial
+from conftest import coefficients, homogeneous_polynomials, naive_evaluate, random_polynomial
 
 F = Fraction
 
@@ -265,19 +265,6 @@ def scan_both(f, r):
     return (lo.value, lo.argmin.alpha), (hi.value, hi.argmin.alpha)
 
 
-def coefficients(big):
-    numerators = st.integers(-(10**30), 10**30) if big else st.integers(-9, 9)
-    return st.builds(Fraction, numerators, st.integers(1, 9))
-
-
-@st.composite
-def homogeneous_polynomials(draw):
-    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    support = draw(st.lists(st.sampled_from(list(compositions(n, d))), max_size=6, unique=True))
-    big = draw(st.booleans())
-    return HomogeneousPolynomial(n, d, {beta: draw(coefficients(big)) for beta in support})
-
-
 @st.composite
 def general_polynomials(draw):
     n = draw(st.integers(1, 4))
@@ -474,14 +461,50 @@ class TestBlockKernel:
         assert grid_maximize(top, 7).value * 7 == 2**63 - 1
         assert grid_maximize(past_limit, 8).value == 2**54
 
-    def test_int64_and_object_paths_agree(self, rng):
-        for _ in range(10):
-            n, d, r = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 8)
-            f = random_polynomial(rng, n, d)
-            lifted = HomogeneousPolynomial(n, d, {b: c * 2**70 for b, c in f.terms.items()})
-            assert _Kernel(f, r).dtype is np.int64 and _Kernel(lifted, r).limbs > 1
-            (lo, lo_a), (hi, hi_a) = scan_both(f, r)
-            assert scan_both(lifted, r) == ((lo * 2**70, lo_a), (hi * 2**70, hi_a))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f=homogeneous_polynomials(n=st.integers(2, 4), d=st.integers(1, 3), big=st.just(False)),
+        r=st.integers(2, 8),
+    )
+    def test_int64_and_limb_paths_agree(self, f, r):
+        assume(f.terms)
+        lifted = HomogeneousPolynomial(f.n, f.d, {b: c * 2**70 for b, c in f.terms.items()})
+        assert _Kernel(f, r).dtype is np.int64 and _Kernel(lifted, r).limbs > 1
+        (lo, lo_a), (hi, hi_a) = scan_both(f, r)
+        assert scan_both(lifted, r) == ((lo * 2**70, lo_a), (hi * 2**70, hi_a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        f=homogeneous_polynomials(n=st.integers(1, 3), d=st.integers(20, 24)),
+        lower=general_polynomials(),
+        r=st.integers(9, 12),
+    )
+    def test_object_path_matches_brute_force_oracle(self, f, lower, r):
+        # a term of degree d >= 20 at r >= 9 makes r^d alone pass 2^63, which
+        # leaves no room for a limb digit; lower-degree terms, when the
+        # dimensions match, make the input mixed-degree
+        assume(f.terms)
+        if lower.n == f.n:
+            f = GeneralPolynomial(f.n, {**lower.terms, **f.terms})
+        assert _Kernel(f, r).dtype is object
+        assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+
+    def test_python_int_scans_are_limited_before_the_first_block(self, monkeypatch):
+        # both scans cover the 17 points of the order-16 grid in 2 variables
+        wide, narrow = GeneralPolynomial(2, {(20, 0): F(1), (0, 20): F(-3)}), sum_of_powers(2, 2)
+        assert _Kernel(wide, 16).dtype is object and _Kernel(narrow, 16).dtype is np.int64
+        monkeypatch.setattr(grid_module, "MAX_EXPANDED_POINTS", grid_size(2, 16))
+        assert grid_minimize(wide, 16).evaluations == grid_size(2, 16)
+        monkeypatch.setattr(grid_module, "MAX_EXPANDED_POINTS", grid_size(2, 16) - 1)
+        assert grid_maximize(narrow, 16).evaluations == grid_size(2, 16)
+
+        def no_blocks(*args):
+            raise AssertionError("a refused scan walked the grid")
+
+        monkeypatch.setattr(grid_module, "_grid_blocks", no_blocks)
+        for scan in (grid_minimize, grid_maximize):
+            with pytest.raises(ValueError, match="points"):
+                scan(wide, 16)
 
     def test_object_fallback_when_the_monomial_bound_leaves_no_room(self):
         # 16^20 = 2^80 is past the 2^61 limb budget, so no digit fits

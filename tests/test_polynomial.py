@@ -20,7 +20,7 @@ from simplexopt import (
     sample_grid_points,
     scale,
 )
-from simplexopt.polynomial import MAX_DEGREE, MAX_GRAPH_VERTICES, MAX_TERM_ENTRIES
+from simplexopt.polynomial import MAX_DEGREE, MAX_TERM_ENTRIES
 from conftest import naive_evaluate, random_polynomial
 
 F = Fraction
@@ -309,7 +309,11 @@ class TestGraphParsing:
         assert parse_graph(text) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
     def test_vertex_cap_is_inclusive(self):
-        assert len(parse_graph(f"p {MAX_GRAPH_VERTICES} 0")) == MAX_GRAPH_VERTICES == 1000
+        # the stable-set form has n + m terms of n entries each
+        assert len(parse_graph("p 1000 0")) == 1000
+        edges = [f"e {i} {j}" for i in range(1, 501) for j in range(i + 1, 501)][:1500]
+        assert 500 * (500 + 1500) == MAX_TERM_ENTRIES
+        assert sum(map(sum, parse_graph("\n".join(["p 500 1500", *edges])))) == 2 * 1500
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -320,7 +324,9 @@ class TestGraphParsing:
             ("p 3 2\ne 1 2", "declared 2 edges"),
             ("p 3 0\nq 1 2", "unrecognized"),
             ("", "missing 'p' header"),
-            ("p 1001 0", "at most 1000 vertices"),
+            ("p 1001 0", "terms times variables"),
+            ("p 1000 1", "terms times variables"),
+            ("p 200 19900", "terms times variables"),
         ],
     )
     def test_rejections(self, text, fragment):
