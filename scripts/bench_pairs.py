@@ -1,0 +1,76 @@
+"""Run alternating parent/change pairs of the perfbench benchmark.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<PR>.json
+        [--workloads scan,bernstein] [--first-seed N]
+
+DIR is the root of a source checkout (its perfbench/ and src/).  Each of
+PAIRS pairs, i = 0, 1, ..., runs `python3 perfbench/run.py --workload W
+--seed first_seed + i --seconds S` in both checkouts, S the `run_seconds` of
+this repository's BENCHMARK.json, the parent first on even i and the change
+first on odd i, one process at a time.  The output holds, per workload,
+every pair's metrics and `failed` count for both sides, and per metric the
+medians and quartiles of both sides and the number of pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"failed": last["failed"], "attempted": last["attempted"],
+            "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
+
+
+def summary(pairs: list[dict]) -> dict:
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        sides = {side: [p[side]["metrics"][name] for p in pairs] for side in ("parent", "change")}
+        quartiles = {side: statistics.quantiles(v, n=4, method="inclusive") for side, v in sides.items()}
+        out[name] = {
+            **{f"{side}_median": q[1] for side, q in quartiles.items()},
+            **{f"{side}_quartiles": [q[0], q[2]] for side, q in quartiles.items()},
+            "change_lower_in": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workloads", default="scan,bernstein")
+    parser.add_argument("--first-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
+    result = {"seconds": seconds, "workloads": {}}
+    for w, workload in enumerate(args.workloads.split(",")):
+        pairs = []
+        for i in range(PAIRS):
+            seed = args.first_seed + 100 * w + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(getattr(args, side), workload, seed, seconds)
+            pairs.append(pair)
+            print(json.dumps({workload: pair}), flush=True)
+        result["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

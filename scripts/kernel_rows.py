@@ -1,0 +1,66 @@
+"""Time grid_minimize on the dense rows of ROADMAP item 2.
+
+    python3 scripts/kernel_rows.py [--src DIR]
+
+Imports simplexopt from DIR (default: ./src of this checkout), so two
+checkouts can be compared on the same inputs.  Each row is a dense
+polynomial (every monomial of degree d in n variables, seeded rational
+coefficients) scanned at order r.  Prints one JSON object: per row, the
+term and point counts, the minimum CPU seconds of REPEATS scans, a digest of
+(value, argmin), and the process's peak RSS after the row, in MiB.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import resource
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+REPEATS = 3
+ROWS = {
+    "dense-cubic-n8-r15": (8, 3, 15),
+    "dense-quartic-n6-r14": (6, 4, 14),
+    "dense-cubic-n12-r12": (12, 3, 12),
+    "dense-quadratic-n10-r20": (10, 2, 20),
+}
+
+
+def dense(sx, n: int, d: int, seed: int):
+    rng = Random(seed)
+    terms = {beta: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for beta in sx.compositions(n, d)}
+    return sx.HomogeneousPolynomial(n, d, terms)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import simplexopt as sx
+
+    out = {}
+    for name, (n, d, r) in ROWS.items():
+        f = dense(sx, n, d, seed=n * 100 + d * 10 + r)
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.process_time()
+            result = sx.grid_minimize(f, r)
+            best = min(best, time.process_time() - start)
+        digest = hashlib.sha256(f"{result.value}:{result.argmin.alpha}".encode()).hexdigest()[:16]
+        out[name] = {
+            "n": n, "d": d, "r": r, "terms": len(f.terms), "points": result.evaluations,
+            "cpu_s": round(best, 4), "result": digest,
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        }
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -40,9 +40,10 @@ from .combinatorics import (
     multinomial,
     stirling2,
 )
-from .grid import MAX_EXPANDED_POINTS, _grid_blocks, _Kernel, _require_grid, _require_order
+from .grid import MAX_EXPANDED_POINTS, _Kernel, _require_grid, _require_order
 from .polynomial import (
     MAX_DEGREE,
+    MAX_TERM_ENTRIES,
     GeneralPolynomial,
     HomogeneousPolynomial,
     RationalLike,
@@ -76,13 +77,11 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     MAX_EXPANDED_POINTS points."""
     _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
     kernel = _Kernel(f, r)
-    terms: dict[MultiIndex, Fraction] = {}
-    for block in _grid_blocks(f.n, r):
-        values = kernel.values(block)
-        nonzero = np.flatnonzero(values)
-        for alpha, v in zip(block[:, nonzero].T.tolist(), values[nonzero].tolist()):
-            alpha = tuple(alpha)
-            terms[alpha] = Fraction(v * multinomial(r, alpha), kernel.denom)
+    terms = {
+        alpha: Fraction(v * multinomial(r, alpha), kernel.denom)
+        for alphas, values in kernel.values()
+        for alpha, v in zip(map(tuple, alphas), values)
+    }
     poly = HomogeneousPolynomial(f.n, r, terms)
     return BernsteinResult(homogeneous=poly, reduced=None, r=r, source=SOURCE_DEFINITIONAL)
 
@@ -105,10 +104,12 @@ def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, in
                 yield gamma, weight
 
 
-def _require_stirling(monomials: Iterable[MultiIndex]) -> None:
-    """Refuse an expansion whose walks take more than MAX_STIRLING_TUPLES gamma in all."""
-    if sum(prod(max(b, 1) for b in beta) for beta in monomials) > MAX_STIRLING_TUPLES:
-        raise ValueError(f"the Stirling expansion walks more than {MAX_STIRLING_TUPLES} tuples")
+def _require_stirling(monomials: Iterable[MultiIndex], n: int) -> None:
+    """Refuse an expansion whose walks take more than MAX_STIRLING_TUPLES gamma
+    in all, or whose n-long gamma hold more than MAX_TERM_ENTRIES entries."""
+    tuples = sum(prod(max(b, 1) for b in beta) for beta in monomials)
+    if tuples > MAX_STIRLING_TUPLES or n * tuples > MAX_TERM_ENTRIES:
+        raise ValueError(f"the Stirling expansion walks {tuples} tuples of {n} entries, past {MAX_STIRLING_TUPLES} tuples or {MAX_TERM_ENTRIES} entries")
 
 
 def _monomial_closed_form(beta: MultiIndex, r: int) -> dict[MultiIndex, Fraction]:
@@ -121,7 +122,7 @@ def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Reduced form of degree <= d, built by summing the per-monomial
     Stirling closed forms weighted by the coefficients of f."""
     _require_order(r)
-    _require_stirling(f.terms)
+    _require_stirling(f.terms, f.n)
     acc: dict[MultiIndex, Fraction] = {}
     for beta, c in f.terms.items():
         for gamma, w in _monomial_closed_form(beta, r).items():
@@ -285,7 +286,7 @@ def moment_stirling(
     _require_order(r)
     point = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
-    _require_stirling([beta])
+    _require_stirling([beta], n)
     total = Fraction(0)
     for gamma, weight in _stirling_weights(beta, r):
         xpow = Fraction(1)

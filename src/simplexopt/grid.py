@@ -7,21 +7,25 @@ system) to sample grid points, and scans them for exact extrema with a
 deterministic lexicographic tie-break.  Every scan, and every expansion of
 a whole grid, checks the grid's size against a limit before any work.
 
-Every grid scan runs through one vectorized kernel: the grid is produced as
-numpy blocks of index vectors and the polynomial, compiled to integer
-numerators over a common denominator, is evaluated a block at a time in
-int64.  An a-priori bound decides how: one int64 row when no product or
-partial sum can overflow, otherwise several int64 limbs, each coefficient
-split into signed base-2^s digits under a 2^61 per-limb budget and the
-carries normalized after each block.  Only when the monomials alone leave no
-room for such digits does the same code run on arrays of Python ints.
-Results are exact either way.
+Every grid scan runs through one kernel.  The polynomial, compiled to
+integer numerators over a common denominator, is evaluated as
+Phi(head) . C . Psi(tail): a point's first k coordinates are its head, the
+rest its tail, C holds the coefficients by head and tail monomial, and each
+total of the heads meets the matching total of the tails in one int64
+matrix product.  k = 0 streams numpy blocks of index vectors as tails.  An
+a-priori bound decides the arithmetic: one int64 matrix when no product or
+partial sum can overflow, otherwise a digit matrix per int64 limb under a
+2^61 per-limb budget, carries normalized per chunk.  Only when the
+monomials alone leave no room for such digits does the same code run on
+arrays of Python ints.  Results are exact either way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 from random import Random
 from typing import Iterator
@@ -118,6 +122,15 @@ MAX_GRID_POINTS = 10**8
 # Largest grid a walk with a Python object per point accepts (the definitional
 # form, the direct moment sum, a Python-int scan: tens of us, ~200 B each).
 MAX_EXPANDED_POINTS = 10**4
+# Largest n * grid_size a walk accepts: a block holds at least one point, so
+# a grid wider than a block is walked a point at a time.
+MAX_GRID_ENTRIES = 10**9
+# A split scan's index tables, with the arrays that build them, hold at most
+# _TABLE_CELLS entries, and so do the monomial rows and G = Phi @ C of the
+# totals built at once; a numpy call costs about as much as _CALL_COST int64
+# element operations.
+_TABLE_CELLS = 1 << 21
+_CALL_COST = 2000
 _INT64_MAX = 2**63 - 1
 _LIMB_BUDGET = 2**61
 
@@ -221,123 +234,237 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
     yield block[:, :filled]
 
 
+def _by_total(k: int, m: int, r: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of every k-vector and of every m-vector of total at most
+    r, a vector per column, by total and lexicographically within a total.
+    The j-vectors of total t with first entry u are u over the
+    (j - 1)-vectors of total t - u: a suffix of the shorter table's totals
+    in reverse order, each under its total s, then u = t - s.  Only the
+    shorter of the two tables is kept while the longer is built."""
+    totals = np.arange(r + 1, dtype=dtype)
+    table, counts = totals[None], [1] * (r + 1)
+    short = table
+    for j in range(2, max(k, m) + 1):
+        ends = list(accumulate(counts))
+        rows = np.concatenate((np.repeat(totals, counts)[None], table))
+        rev = np.concatenate([rows[:, e - c : e] for e, c in zip(ends[::-1], counts[::-1])], axis=1)
+        table = np.concatenate([rev[:, rev.shape[1] - e :] for e in ends], axis=1)
+        counts = ends
+        table[0] = np.repeat(totals, counts) - table[0]
+        if j == min(k, m):
+            short = table
+    return (short, table) if k <= m else (table, short)
+
+
+def _monomials(points: np.ndarray, variables: np.ndarray, factors: np.ndarray, dtype) -> np.ndarray:
+    """(monomials, columns) array of every monomial at every column x of
+    points: row q of factors lists the variables of monomial q, each as often
+    as its exponent, as row numbers of (1, x[variables]), padded with 0."""
+    rows = np.empty((len(variables) + 1, points.shape[1]), dtype)
+    rows[0], rows[1:] = 1, points[variables]
+    out = rows[factors[:, 0]]
+    for j in range(1, factors.shape[1]):
+        out *= rows[factors[:, j]]
+    return out
+
+
+def _split(n: int, r: int, terms: list[MultiIndex], limbs: int) -> int:
+    """The head length of a scan: n // 2 when its r + 1 matrix products cost
+    less than streaming the grid's blocks and its index tables fit
+    _TABLE_CELLS, else 0.  Costs count int64 element operations plus
+    _CALL_COST per numpy call, the call counts fitted to forced-k timings
+    of measured scans: streaming pays calls per block and per suffix table
+    (up to (n - 2) * r of them), writes n entries and gathers every factor
+    of every term at each point; the split pays calls per total and, for
+    its tables, per variable, while its products, one entry per distinct
+    tail monomial at each point, are cheap enough to leave out."""
+    k, m, size = n // 2, n - n // 2, comb(n + r - 1, r)
+    blocks = -(-size // max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(n, limbs, len(terms)))))
+    stream = _CALL_COST * (2 * blocks + 2 * (n - 2) * r + 10) + size * (n + len(terms) * (2 * max(map(sum, terms)) + limbs))
+    if not k or _CALL_COST * (4 * (r + 1) + 8 * n) >= stream:
+        return 0
+    q, p = len(dict.fromkeys(b[:k] for b in terms)), len(dict.fromkeys(b[k:] for b in terms))
+    # the head table is kept while the tail table is built: the shorter
+    # table, the row of totals over it and its reordering, then the table
+    return k if k * comb(r + k, k) + 4 * m * comb(r + m, m) + limbs * q * p <= _TABLE_CELLS else 0
+
+
 class _Kernel:
     """f compiled for exact evaluation on the order-r grid.
 
-    At the grid point alpha/r the value of f is values(alpha) / denom with a
-    fixed positive integer denom, so value comparisons are integer
-    comparisons.  Each term keeps its integer-cleared coefficient c' (times
-    r^deficit for terms below the top degree) and its variables, each
-    repeated as often as its exponent, so its monomial at alpha is at most
-    r^degree in absolute value.
+    At alpha/r the value of f is its numerator at alpha over a fixed positive
+    integer denom, so comparisons are integer comparisons.  Each term keeps
+    its cleared coefficient c' (times r^deficit below the top degree), so its
+    monomial is at most r^degree.  The first k = _split(...) coordinates of a
+    point are its head, the others its tail, and with a row per distinct
+    head monomial and a column per distinct tail monomial the c' form C:
+    f(head, tail) = Phi(head) . C . Psi(tail), Phi and Psi the monomial
+    rows.  The heads of total t meet the tails of total r - t in one matrix
+    product of rows of G = Phi @ C with columns of Psi, both built once for
+    each run of totals that fits _TABLE_CELLS (a larger total in tiles).
+    k = 0 streams the grid's blocks as the tails of one empty head, whose G
+    is C.  Products fill a buffer of _BLOCK_CELLS entries, a chunk.
 
-    The arithmetic is int64 throughout when the input allows it.  If
-    sum |c'| * r^degree <= 2^63 - 1, no product or partial sum can overflow
-    and each block is evaluated in one int64 row (limbs == 1).  Otherwise
-    every c' is split into `limbs` signed base-2^s digits, the sign of c' on
-    each, with s the largest width such that
-    terms * (2^s - 1) * r^degree <= 2^61.  Limb l accumulates
-    monomial * digit_l over the terms, so no limb passes 2^61 before
-    normalization; carries then run from the low limb up (carry =
-    acc[l] >> s, acc[l] &= 2^s - 1), which leaves every limb but the top one
-    in [0, 2^s) and every intermediate below 2^62.  After that, the value
-    order of the block is the lexicographic order of (acc[L-1], ..., acc[0]).
-    Only when the monomial bound leaves no room for two-bit digits (s < 2)
-    do the arrays hold Python ints instead (dtype=object).
+    If sum |c'| * r^degree <= 2^63 - 1, no product or partial sum overflows
+    int64 and C is one matrix (limbs == 1).  Otherwise each c' is split into
+    `limbs` signed base-2^s digits, the sign of c' on each, a digit matrix
+    per limb, with s the largest width such that
+    terms * (2^s - 1) * r^degree <= 2^61; carries then run from the low limb
+    up (acc[l+1] += acc[l] >> s, acc[l] &= 2^s - 1), every intermediate below
+    2^62, and values order as (acc[L-1], ..., acc[0]) do.  Only when
+    r^degree leaves no room for two-bit digits (s < 2) do the arrays hold
+    Python ints (dtype=object).
     """
 
     def __init__(self, f: Polynomial, r: int):
+        n = self.n = f.n
+        self.r = r
         dmax = f.d if isinstance(f, HomogeneousPolynomial) else f.degree()
         cden = lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
-        factors_of, coeffs = [], []
-        for beta, c in f.terms.items():
-            factors = tuple(i for i, e in enumerate(beta) for _ in range(e))
-            factors_of.append(factors)
-            coeffs.append(c.numerator * (cden // c.denominator) * r ** (dmax - len(factors)))
+        terms = {b: c.numerator * (cden // c.denominator) * r ** (dmax - sum(b)) for b, c in f.terms.items()} or {(0,) * n: 0}
         self.denom = cden * r**dmax
         self.dtype: type = np.int64
         self.limbs, self.shift = 1, 0
-        if sum(map(abs, coeffs)) * r**dmax > _INT64_MAX:
+        if sum(map(abs, terms.values())) * r**dmax > _INT64_MAX:
             # the widest digit with terms * (2^shift - 1) * r^dmax <= 2^61
-            shift = (_LIMB_BUDGET // (len(coeffs) * r**dmax) + 1).bit_length() - 1
+            shift = (_LIMB_BUDGET // (len(terms) * r**dmax) + 1).bit_length() - 1
             if shift < 2:
                 self.dtype = object
             else:
                 self.shift = shift
-                self.limbs = -(-max(map(abs, coeffs)).bit_length() // shift)
-        # per term: its coefficient, or the column of its digits, and its
-        # variables
-        self.terms = []
-        for c, factors in zip(coeffs, factors_of):
-            if self.limbs > 1:
-                mask, sign = (1 << shift) - 1, (-1 if c < 0 else 1)
-                digits = [((abs(c) >> (shift * l)) & mask) * sign for l in range(self.limbs)]
-                c = np.array(digits, dtype=np.int64)[:, None]
-            self.terms.append((c, factors))
-        self.variables = sorted({i for factors in factors_of for i in factors})
+                self.limbs = -(-max(map(abs, terms.values())).bit_length() // shift)
+        self.k = k = _split(n, r, list(terms), self.limbs)
+        heads = {h: i for i, h in enumerate(dict.fromkeys(b[:k] for b in terms))}
+        tails = {t: j for j, t in enumerate(dict.fromkeys(b[k:] for b in terms))}
+        self.factors = []
+        for monomials in (heads, tails):
+            variables = sorted({i for m in monomials for i, e in enumerate(m) if e})
+            row_of = {v: j + 1 for j, v in enumerate(variables)}
+            rows = [[row_of[i] for i, e in enumerate(m) if e for _ in range(e)] for m in monomials]
+            width = max(1, *map(len, rows))
+            self.factors.append((np.array(variables, np.intp), np.array([row + [0] * (width - len(row)) for row in rows], np.intp)))
+        digits = list(terms.values())
+        if self.limbs > 1:
+            mask = (1 << self.shift) - 1
+            digits = [[(abs(c) >> self.shift * l & mask) * (1 if c > 0 else -1) for c in digits] for l in range(self.limbs)]
+        self.coeffs = np.zeros((self.limbs, len(heads), len(tails)), self.dtype)
+        self.coeffs[:, [heads[b[:k]] for b in terms], [tails[b[k:]] for b in terms]] = np.array(digits, self.dtype)
 
-    def _limbs(self, block: np.ndarray) -> np.ndarray:
-        """(limbs, rows) array whose limb l holds the base-2^shift digit l
-        of each column's numerator, carries normalized so that every limb
-        but the top one lies in [0, 2^shift)."""
-        rows = {i: block[i].astype(self.dtype) for i in self.variables}
-        # one limb stays one-dimensional: the same numpy calls on (1, rows)
-        # arrays measured slower per block than on (rows,) arrays
-        shape = (self.limbs, block.shape[1]) if self.limbs > 1 else block.shape[1]
-        out = np.zeros(shape, dtype=self.dtype)
-        prod = np.empty_like(out)
-        monomial = np.empty(block.shape[1], dtype=self.dtype)
-        for coeff, factors in self.terms:
-            if not factors:
-                out += coeff
-                continue
-            # the coefficient goes in last: on the object path the products
-            # of grid entries are cheap and only two big-integer operations
-            # per point remain.  A column of digits scales the one monomial
-            # row into every limb row
-            if len(factors) == 1:
-                np.multiply(rows[factors[0]], coeff, out=prod)
-            else:
-                np.multiply(rows[factors[0]], rows[factors[1]], out=monomial)
-                for i in factors[2:]:
-                    monomial *= rows[i]
-                np.multiply(monomial, coeff, out=prod)
-            out += prod
-        acc = out.reshape(self.limbs, -1)
+    def _pieces(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """(heads, G, tails, Psi) with every pair of a head and a tail a grid
+        point, once over all pieces."""
+        n, r, k = self.n, self.r, self.k
+        g = lambda heads: _monomials(heads, *self.factors[0], self.dtype).T @ self.coeffs
+        psi = lambda tails: _monomials(tails, *self.factors[1], self.dtype)
+        none = np.zeros((0, 1), np.min_scalar_type(r))
+        if k:
+            heads, tails = _by_total(k, n - k, r, none.dtype)
+            h, t = (list(accumulate([0] + [comb(s + j - 1, s) for s in range(r + 1)])) for j in (k, n - k))
+            # totals s..end - 1 share one G and one Psi while they fit half of
+            # _TABLE_CELLS each; a total that does not fit is cut in tiles
+            (q, p), s = self.coeffs.shape[1:], 0
+            rows, cols = max(1, _TABLE_CELLS // 2 // (q + self.limbs * p)), max(1, _TABLE_CELLS // 2 // p)
+            while s <= r:
+                end = s + 1
+                while end <= r and h[end + 1] - h[s] <= rows and t[r - s + 1] - t[r - end] <= cols:
+                    end += 1
+                for j in range(t[r - end + 1], t[r - s + 1], cols):
+                    j1 = min(j + cols, t[r - s + 1])
+                    psi_part = psi(tails[:, j:j1])
+                    for i in range(h[s], h[end], rows):
+                        i1 = min(i + rows, h[end])
+                        g_part = g(heads[:, i:i1])
+                        for u in range(s, end):
+                            a, b, c, d = max(h[u], i), min(h[u + 1], i1), max(t[r - u], j), min(t[r - u + 1], j1)
+                            if a < b and c < d:
+                                yield heads[:, a:b], g_part[:, a - i : b - i], tails[:, c:d], psi_part[:, c - j : d - j]
+                s = end
+            return
+        width = max(1, _BLOCK_CELLS // max(self.limbs, *self.coeffs.shape[1:]))
+        for block in _grid_blocks(n, r):
+            for part in (block[:, j : j + width] for j in range(0, block.shape[1], width)):
+                yield none, self.coeffs, part, psi(part)
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]]:
+        """Yield (acc, parts) covering the grid once: acc is the (limbs,
+        columns) chunk, carries normalized, and a part (offset, heads, tails)
+        owns the columns from offset on, a pair of a head and a tail column
+        each, heads major, so in lexicographic order within the part.  The
+        buffer is reused: acc holds until the next chunk is asked for.  A
+        streamed part keeps its block alive, so a streamed chunk also has at
+        most _BLOCK_CELLS index entries."""
+        cells = max(self.limbs, 1 if self.k else self.n)
+        columns = max(1, min(_BLOCK_CELLS // cells, comb(self.n + self.r - 1, self.r)))
+        buffer, filled, parts = np.empty((self.limbs, columns), self.dtype), 0, []
+        for heads, g, tails, psi in self._pieces():
+            width = min(tails.shape[1], columns)
+            for j in range(0, tails.shape[1], width):
+                for i in range(0, heads.shape[1], columns // width):
+                    h, t = heads[:, i : i + columns // width], tails[:, j : j + width]
+                    if filled + h.shape[1] * t.shape[1] > columns:
+                        yield self._normalized(buffer[:, :filled]), parts
+                        filled, parts = 0, []
+                    out = buffer[:, filled : filled + h.shape[1] * t.shape[1]]
+                    np.matmul(g[:, i : i + h.shape[1]], psi[:, j : j + t.shape[1]], out=out.reshape(self.limbs, h.shape[1], t.shape[1]))
+                    parts.append((filled, h, t))
+                    filled += out.shape[1]
+        yield self._normalized(buffer[:, :filled]), parts
+
+    def _normalized(self, acc: np.ndarray) -> np.ndarray:
+        """acc with its carries run from the low limb up, in place."""
         for l in range(self.limbs - 1):
             acc[l + 1] += acc[l] >> self.shift
             acc[l] &= (1 << self.shift) - 1
         return acc
 
-    def values(self, block: np.ndarray) -> np.ndarray:
-        """Numerators of f at every index vector (column) of a block: int64
-        when one limb holds them, Python ints otherwise."""
-        acc = self._limbs(block)
-        if self.limbs == 1:
-            return acc[0]
-        out = acc[-1].astype(object)
-        for l in range(self.limbs - 2, -1, -1):
-            out = (out << self.shift) + acc[l]
-        return out
+    def values(self) -> Iterator[tuple[list[list[int]], list[int]]]:
+        """Batches (alphas, numerators of f there) covering every grid point
+        whose numerator is not 0."""
+        for acc, parts in self.chunks():
+            out = acc[-1] if self.limbs == 1 else acc[-1].astype(object)
+            for l in range(self.limbs - 2, -1, -1):
+                out = (out << self.shift) + acc[l]
+            for offset, heads, tails in parts:
+                part = out[offset : offset + heads.shape[1] * tails.shape[1]]
+                nonzero = np.flatnonzero(part)
+                i, j = np.divmod(nonzero, tails.shape[1])
+                yield np.concatenate((heads[:, i], tails[:, j])).T.tolist(), part[nonzero].tolist()
 
-    def extremum(self, block: np.ndarray, prefer_smaller: bool) -> tuple[int, int]:
-        """(column, numerator) of the block's smallest or largest value; the
-        first such column among ties."""
-        acc = self._limbs(block)
-        top = acc[-1]
-        j = int(top.argmin() if prefer_smaller else top.argmax())
-        if self.limbs == 1:
-            return j, int(top[j])
-        # narrow the top limb's ties limb by limb; flatnonzero keeps them in
-        # column order, so the first survivor is the first tie
-        ties = np.flatnonzero(top == top[j])
-        for l in range(self.limbs - 2, -1, -1):
-            if ties.size == 1:
-                break
-            lower = acc[l, ties]
-            ties = ties[lower == (lower.min() if prefer_smaller else lower.max())]
-        j = int(ties[0])
-        return j, sum(int(acc[l, j]) << (self.shift * l) for l in range(self.limbs))
+    def extremum(self, prefer_smaller: bool) -> tuple[int, list[int]]:
+        """(numerator, alpha) of the smallest or largest value on the grid,
+        at the lexicographically smallest alpha among ties."""
+        best: tuple[int, list[int]] | None = None
+        for acc, parts in self.chunks():
+            # the chunk's extremal columns: ties of the top limb, narrowed
+            # limb by limb
+            ties = np.flatnonzero(acc[-1] == (acc[-1].min() if prefer_smaller else acc[-1].max()))
+            for l in range(self.limbs - 2, -1, -1):
+                lower = acc[l, ties]
+                ties = ties[lower == (lower.min() if prefer_smaller else lower.max())]
+            v = sum(int(acc[l, ties[0]]) << (self.shift * l) for l in range(self.limbs))
+            if best is not None and (v > best[0] if prefer_smaller else v < best[0]):
+                continue
+            offsets = [offset for offset, _, _ in parts]
+            if not self.k:
+                # streamed chunks come in lexicographic order: the first tie
+                # competes, and only a strictly better value
+                if best is not None and v == best[0]:
+                    continue
+                ties = ties[:1]
+            elif ties.size > 1:
+                # parts, and chunks, of different totals are not in
+                # lexicographic order: the first tie of each part competes,
+                # and an equal value displaces the incumbent when its alpha
+                # is smaller
+                ties = ties[np.unique(np.searchsorted(offsets, ties, side="right"), return_index=True)[1]]
+            for c in ties.tolist():
+                offset, heads, tails = parts[bisect_right(offsets, c) - 1]
+                i, j = divmod(c - offset, tails.shape[1])
+                alpha = heads[:, i].tolist() + tails[:, j].tolist()
+                if best is None or v != best[0] or alpha < best[1]:
+                    best = v, alpha
+        assert best is not None
+        return best
 
 
 def _require_order(r: int, minimum: int = 1) -> None:
@@ -346,20 +473,24 @@ def _require_order(r: int, minimum: int = 1) -> None:
 
 
 def _size_within(n: int, r: int, limit: int) -> int | None:
-    """grid_size(n, r) if at most limit, else None.  C(n+r-1, r) is at least
+    """grid_size(n, r) if at most limit and its n * grid_size(n, r) entries
+    at most MAX_GRID_ENTRIES, else None.  C(n+r-1, r) is at least
     2^min(n-1, r), so a large min(n-1, r) needs no huge binomial."""
+    limit = min(limit, MAX_GRID_ENTRIES // n)
     if min(n - 1, r) >= limit.bit_length() or grid_size(n, r) > limit:
         return None
     return grid_size(n, r)
 
 
 def _require_grid(n: int, r: int, limit: int, walk: str) -> int:
-    """Size of the order-r grid in n variables; refuses an order below 1 or
-    more than limit points.  Every grid walk calls this before any work."""
+    """Size of the order-r grid in n variables; refuses an order below 1, more
+    than limit points or more than MAX_GRID_ENTRIES entries.  Every grid walk
+    calls this before any work."""
     _require_order(r)
     size = _size_within(n, r, limit)
     if size is None:
-        raise ValueError(f"the order-{r} grid in {n} variables has more than {limit} points, the most {walk} accepts")
+        cap = min(limit, MAX_GRID_ENTRIES // n)
+        raise ValueError(f"the order-{r} grid in {n} variables has more than {cap} points, the most {walk} accepts: {limit} points and {MAX_GRID_ENTRIES} entries in all")
     return size
 
 
@@ -368,18 +499,8 @@ def _scan_extremum(f: Polynomial, r: int, prefer_smaller: bool) -> GridMinimum:
     kernel = _Kernel(f, r)
     if kernel.dtype is object:
         _require_grid(f.n, r, MAX_EXPANDED_POINTS, "a scan in Python ints")
-    best_v: int | None = None
-    best_a: list[int] = []
-    for block in _grid_blocks(f.n, r):
-        # the block's first extremal column is its lexicographically
-        # smallest index vector among ties, and a later block must improve
-        # strictly to displace an earlier one
-        j, v = kernel.extremum(block, prefer_smaller)
-        if best_v is None or (v < best_v if prefer_smaller else v > best_v):
-            best_v, best_a = v, block[:, j].tolist()
-    assert best_v is not None
-    point = GridPoint(tuple(best_a), r)
-    return GridMinimum(Fraction(best_v, kernel.denom), point, size)
+    value, alpha = kernel.extremum(prefer_smaller)
+    return GridMinimum(Fraction(value, kernel.denom), GridPoint(tuple(alpha), r), size)
 
 
 def grid_minimize(f: Polynomial, r: int) -> GridMinimum:
@@ -387,7 +508,8 @@ def grid_minimize(f: Polynomial, r: int) -> GridMinimum:
 
     Ties break to the lexicographically smallest index vector.  A grid of
     more than MAX_GRID_POINTS points (MAX_EXPANDED_POINTS when the kernel runs
-    on Python ints) is refused with ValueError before any work.
+    on Python ints), or more than MAX_GRID_ENTRIES index entries, is refused
+    with ValueError before any work.
     """
     return _scan_extremum(f, r, prefer_smaller=True)
 

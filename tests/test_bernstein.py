@@ -123,6 +123,18 @@ class TestClosedFormMonomials:
             with pytest.raises(ValueError, match="Stirling"):
                 bernstein_closed_form(f, 3)
 
+    def test_stirling_entries_are_capped(self, monkeypatch):
+        # 5 gamma tuples of 3 entries each: 15 entries
+        f = monomial(3, (0, 1, 5))
+        monkeypatch.setattr(bernstein_module, "MAX_TERM_ENTRIES", 15)
+        assert bernstein_closed_form(f, 2).reduced is not None
+        assert moment_stirling(3, 2, (0, 1, 5), [F(1, 3)] * 3) > 0
+        monkeypatch.setattr(bernstein_module, "MAX_TERM_ENTRIES", 14)
+        with pytest.raises(ValueError, match="Stirling"):
+            bernstein_closed_form(f, 2)
+        with pytest.raises(ValueError, match="Stirling"):
+            moment_stirling(3, 2, (0, 1, 5), [F(1, 3)] * 3)
+
     def test_pure_cube(self):
         r = 5
         result = bernstein_closed_form(monomial(2, (3, 0)), r).reduced

@@ -393,6 +393,9 @@ class TestLimits:
             (["moments", "--n", "30", "--r", "30", "--beta", ",".join(["1"] + ["0"] * 29), "--x", ",".join(["1/30"] * 30)], 3, "points"),
             (["grid-min", "x1^200 + x2^200", "--n", "2", "--r", "100000"], 3, "points"),
             (["bernstein", "x1^10*x2^10*x3^10*x4^10*x5^10 + x1^9*x2^11*x3^10*x4^10*x5^10", "--n", "5", "--r", "3", "--route", "closed"], 3, "Stirling"),
+            (["grid-min", "x1", "--n", "300000", "--r", "1", "--json"], 3, "entries"),
+            (["grid-min", "x1", "--n", "1000000", "--r", "1", "--json"], 3, "entries"),
+            (["bernstein", "x1^5*x2^10*x3^10", "--n", "5000", "--r", "3", "--route", "closed", "--json"], 3, "Stirling"),
         ],
     )
     def test_limit_is_refused_at_once(self, capsys, argv, code, fragment):

@@ -25,6 +25,7 @@ from simplexopt import (
     parse_polynomial,
     sum_of_powers_grid_min,
 )
+from simplexopt import bernstein_definitional, multinomial
 from simplexopt import grid as grid_module
 from simplexopt.combinatorics import _next_composition
 from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
@@ -512,11 +513,13 @@ class TestBlockKernel:
         assert _Kernel(f, 16).dtype is object
         assert scan_both(f, 16) == (brute_extremum(f, 16, True), brute_extremum(f, 16, False))
 
-    def test_top_limb_ties_are_narrowed_across_blocks(self, rng):
+    def test_top_limb_ties_are_narrowed_across_blocks(self, monkeypatch, rng):
         # 2^70 * (x1 + ... + x6)^2 is 2^70 * 81 at every point of the order-9
-        # grid (2002 points, two blocks), so the top limb ties on every point
-        # whose small part has the same sign and only lower limbs tell them apart
+        # grid (2002 points, several chunks of 2^9 entries), so the top limb
+        # ties on every point whose small part has the same sign and only
+        # lower limbs tell them apart
         n, r = 6, 9
+        monkeypatch.setattr(grid_module, "_BLOCK_CELLS", 2**9)
         square = {beta: F(2**70 * (1 if max(beta) == 2 else 2)) for beta in compositions(n, 2)}
         mixed = parse_polynomial("x5*x6 - x1*x2", n).terms
         for small in (mixed, random_polynomial(rng, n, 2).terms, random_polynomial(rng, n, 2).terms):
@@ -528,7 +531,7 @@ class TestBlockKernel:
             assert kernel.limbs > 1
             for prefer_smaller in (True, False):
                 best = min if prefer_smaller else max
-                tops = [kernel._limbs(block) for block in _grid_blocks(n, r)]
+                tops = [acc.copy() for acc, _ in kernel.chunks()]
                 top = best(best(acc[-1]) for acc in tops)
                 assert sum(top in acc[-1] for acc in tops) > 1
                 tied = np.hstack([acc[:, acc[-1] == top] for acc in tops])
@@ -554,3 +557,129 @@ class TestBlockKernel:
         for r in (1, 5, 12):
             assert _Kernel(f, r).limbs > 1
             assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+
+
+@st.composite
+def split_cases(draw):
+    """(f, r) for int64, limb and Python-int scans, mixed degrees with a
+    constant, and minimizers that tie across head totals."""
+    kind = draw(st.sampled_from(["int64", "limbs", "object", "mixed", "ties"]))
+    if kind == "object":
+        # r^d alone passes 2^63, leaving no room for a limb digit
+        f = draw(homogeneous_polynomials(n=st.integers(1, 3), d=st.integers(20, 22)))
+        return f, draw(st.integers(9, 10))
+    r = draw(st.integers(1, 6))
+    if kind == "mixed":
+        f = draw(general_polynomials())
+        return GeneralPolynomial(f.n, {**f.terms, (0,) * f.n: draw(coefficients(draw(st.booleans())))}), r
+    if kind == "ties":
+        # power sums and constants: every permutation of a minimizer ties,
+        # across head totals, and the lexicographically first must win
+        n, d = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+        c = draw(coefficients(draw(st.booleans())).filter(bool))
+        return HomogeneousPolynomial(n, d, {b: c * v for b, v in sum_of_powers(n, d).terms.items()}), r
+    return draw(homogeneous_polynomials(n=st.integers(1, 5), big=st.just(kind == "limbs"))), r
+
+
+class TestSplitKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=split_cases(),
+        cells=st.sampled_from([1, 3, 8, 64, _BLOCK_CELLS]),
+        tables=st.sampled_from([2, 40, 400, grid_module._TABLE_CELLS]),
+        data=st.data(),
+    )
+    def test_every_split_matches_brute_force_oracle(self, case, cells, tables, data):
+        # a few cells put chunk boundaries inside one total and inside a
+        # streamed block; small tables share G and Psi among fewer totals,
+        # or cut one total in tiles
+        f, r = case
+        k = data.draw(st.integers(0, f.n - 1), label="k")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "_split", lambda *args: k)
+            patch.setattr(grid_module, "_BLOCK_CELLS", cells)
+            patch.setattr(grid_module, "_TABLE_CELLS", tables)
+            assert _Kernel(f, r).k == k
+            assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+            if isinstance(f, HomogeneousPolynomial):
+                expected = {}
+                for alpha in enumerate_grid(f.n, r):
+                    value = evaluate(f, [F(a, r) for a in alpha]) * multinomial(r, alpha)
+                    if value:
+                        expected[alpha] = value
+                assert bernstein_definitional(f, r).homogeneous.terms == expected
+
+    @pytest.mark.parametrize("cells", [4, _BLOCK_CELLS])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_ties_across_totals_resolve_to_the_first_point(self, monkeypatch, k, cells):
+        # with 4 cells the ties below land in different chunks, otherwise in
+        # different parts of one chunk
+        monkeypatch.setattr(grid_module, "_split", lambda *args: k)
+        monkeypatch.setattr(grid_module, "_BLOCK_CELLS", cells)
+        zero = parse_polynomial("x1 - x1", 4)
+        assert scan_both(zero, 6) == ((0, (0, 0, 0, 6)), (0, (0, 0, 0, 6)))
+        assert grid_minimize(sum_of_powers(4, 2), 6).argmin.alpha == (1, 1, 2, 2)
+        assert grid_maximize(sum_of_powers(4, 2), 6).argmin.alpha == (0, 0, 0, 6)
+        # -1 at exactly (0, 2, 0, 0) and (1, 0, 1, 0): at k = 2 the second
+        # has the smaller head total, so it is evaluated first
+        for c in (1, 2**70):
+            low = parse_polynomial(f"{-c}*x2^2 - {4 * c}*x1*x3", 4)
+            high = parse_polynomial(f"{c}*x2^2 + {4 * c}*x1*x3", 4)
+            assert grid_minimize(low, 2).argmin.alpha == grid_maximize(high, 2).argmin.alpha == (0, 2, 0, 0)
+
+    @pytest.mark.parametrize("n, r", [(2, 10**6), (3, 3000), (1000, 2)])
+    def test_narrow_and_wide_grids_take_few_products(self, monkeypatch, n, r):
+        # a Python loop over r + 1 tiny products, or over single points,
+        # would take far more products than the grid's blocks; a streamed
+        # chunk keeps its blocks, so it holds 2^17 index entries, not 2^17
+        # points
+        f = parse_polynomial(f"x1^2 - 3*x1*x{n} + x{n}^2", n)
+        pieces = _Kernel._pieces
+        counts = {"products": 0, "chunks": 0}
+
+        def counting(kernel):
+            for piece in pieces(kernel):
+                counts["products"] += 1
+                yield piece
+
+        monkeypatch.setattr(_Kernel, "_pieces", counting)
+        kernel = _Kernel(f, r)
+        tracemalloc.start()
+        try:
+            for _ in kernel.chunks():
+                counts["chunks"] += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size, rows = grid_size(n, r), min(_BLOCK_ROWS, _BLOCK_CELLS // n)
+        columns = _BLOCK_CELLS // max(kernel.limbs, 1 if kernel.k else n)
+        assert counts["products"] <= 1.2 * -(-size // rows) + 2
+        assert counts["chunks"] <= 1.2 * -(-size // columns) + 2
+        assert peak < 4 * 2**20
+        assert grid_minimize(f, r).evaluations == size
+
+    @pytest.mark.parametrize("n, r", [(72, 3), (80, 3), (5, 31), (10, 20)])
+    def test_split_tables_stay_within_their_budget(self, monkeypatch, n, r):
+        # the head table is kept while the tail table is built; the two,
+        # with the arrays that build them, fit _TABLE_CELLS entries, and a
+        # split whose tables would not fit streams instead
+        f = parse_polynomial(f"x1^2 - 3*x1*x{n} + x{n}^2", n)
+        by_total, peaks = grid_module._by_total, []
+
+        def measured(k, m, r, dtype):
+            tracemalloc.start()
+            tables = by_total(k, m, r, dtype)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return tables
+
+        monkeypatch.setattr(grid_module, "_by_total", measured)
+        kernel = _Kernel(f, r)
+        try:
+            next(kernel.chunks())
+        finally:
+            tracemalloc.stop()
+        assert (kernel.k > 0) == (n != 80)
+        assert len(peaks) == (1 if kernel.k else 0)
+        itemsize = np.dtype(np.min_scalar_type(r)).itemsize
+        assert max(peaks, default=0) <= grid_module._TABLE_CELLS * itemsize
+
