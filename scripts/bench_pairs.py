@@ -8,8 +8,11 @@ PAIRS pairs, i = 0, 1, ..., runs `python3 perfbench/run.py --workload W
 --seed first_seed + i --seconds S` in both checkouts, S the `run_seconds` of
 this repository's BENCHMARK.json, the parent first on even i and the change
 first on odd i, one process at a time.  The output holds, per workload,
-every pair's metrics and `failed` count for both sides, and per metric the
-medians and quartiles of both sides and the number of pairs the change won.
+every pair's metrics, `failed` count, job count and tail percentile for both
+sides, and per metric the medians and quartiles of both sides and the number
+of pairs the change won.  A run that exits non-zero, or whose last two lines
+are not its provenance and result, stops the script with the workload, seed,
+side, exit code and the end of the run's standard error.
 """
 
 from __future__ import annotations
@@ -25,12 +28,23 @@ PAIRS = 10
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: float, side: str) -> dict:
+    """One run's result; a run that exits non-zero or ends without its
+    provenance and result lines stops the whole comparison."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    last = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"failed": last["failed"], "attempted": last["attempted"],
-            "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
+    problem = f"exit code {done.returncode}"
+    if not done.returncode:
+        try:
+            provenance, last = map(json.loads, done.stdout.splitlines()[-2:])
+            info = provenance["provenance"]
+            return {"failed": last["failed"], "attempted": last["attempted"],
+                    "job_tail_percentile": info["job_tail_percentile"], "jobs": info["job_samples"],
+                    "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
+        except (ValueError, KeyError, TypeError) as err:
+            problem = f"exit code 0, unreadable result ({err!r})"
+    stderr = "\n".join(done.stderr.splitlines()[-20:])
+    raise SystemExit(f"{workload} seed {seed} {side} run failed: {problem}; last lines of stderr:\n{stderr}")
 
 
 def summary(pairs: list[dict]) -> dict:
@@ -64,7 +78,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(getattr(args, side), workload, seed, seconds)
+                pair[side] = run(getattr(args, side), workload, seed, seconds, side)
             pairs.append(pair)
             print(json.dumps({workload: pair}), flush=True)
         result["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}

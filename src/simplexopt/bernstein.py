@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod, sqrt
+from math import prod, sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
     RationalLike,
+    _cleared_point,
     is_square_free,
 )
 
@@ -208,13 +209,12 @@ def bernstein_squarefree(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_simplex_point(n: int, x: Sequence[RationalLike]) -> list[Fraction]:
-    point = [Fraction(v) for v in x]
-    if len(point) != n:
-        raise ValueError(f"point has dimension {len(point)}, expected {n}")
-    if any(v < 0 for v in point) or sum(point) != 1:
+def _check_simplex_point(n: int, x: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """(a, D) with x = a / D; refuses a point off the standard simplex."""
+    a, den = _cleared_point(n, x)
+    if min(a, default=0) < 0 or sum(a) != den:
         raise ValueError(f"point {x!r} is not on the standard simplex")
-    return point
+    return a, den
 
 
 def _check_moment_order(n: int, beta: Sequence[int]) -> MultiIndex:
@@ -258,21 +258,10 @@ def moment_direct(
 
         sum over |alpha| = r of  alpha^beta * (r!/alpha!) * x^alpha.
     """
-    point = _check_simplex_point(n, x)
+    a, den = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
-    xden = lcm(*(v.denominator for v in point))
-    a = tuple(v.numerator * (xden // v.denominator) for v in point)
-    total = 0
-    for alpha, weight in _probability_numerators(n, r, a):
-        for a_i, b_i in zip(alpha, beta):
-            if b_i:
-                if a_i == 0:
-                    weight = 0
-                    break
-                weight *= a_i**b_i
-        if weight:
-            total += weight
-    return Fraction(total, xden**r)
+    total = sum(weight * prod(map(pow, alpha, beta)) for alpha, weight in _probability_numerators(n, r, tuple(a)))
+    return Fraction(total, den**r)
 
 
 def moment_stirling(
@@ -284,17 +273,12 @@ def moment_stirling(
             r^(|gamma| falling) * x^gamma * prod_i S(beta_i, gamma_i).
     """
     _require_order(r)
-    point = _check_simplex_point(n, x)
+    a, den = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
     _require_stirling([beta], n)
-    total = Fraction(0)
-    for gamma, weight in _stirling_weights(beta, r):
-        xpow = Fraction(1)
-        for g_i, x_i in zip(gamma, point):
-            if g_i:
-                xpow *= x_i**g_i
-        total += weight * xpow
-    return total
+    depth = sum(beta)
+    total = sum(weight * prod(map(pow, a, gamma)) * den ** (depth - sum(gamma)) for gamma, weight in _stirling_weights(beta, r))
+    return Fraction(total, den**depth)
 
 
 # ---------------------------------------------------------------------------

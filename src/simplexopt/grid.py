@@ -26,14 +26,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from random import Random
 from typing import Iterator
 
 import numpy as np
 
 from .combinatorics import MultiIndex, compositions
-from .polynomial import HomogeneousPolynomial, Polynomial
+from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -319,9 +319,8 @@ class _Kernel:
     def __init__(self, f: Polynomial, r: int):
         n = self.n = f.n
         self.r = r
-        dmax = f.d if isinstance(f, HomogeneousPolynomial) else f.degree()
-        cden = lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
-        terms = {b: c.numerator * (cden // c.denominator) * r ** (dmax - sum(b)) for b, c in f.terms.items()} or {(0,) * n: 0}
+        cden, dmax, numerators = f._integer_form
+        terms = {b: c * r ** (dmax - sum(b)) for b, c in zip(f.terms, numerators)} or {(0,) * n: 0}
         self.denom = cden * r**dmax
         self.dtype: type = np.int64
         self.limbs, self.shift = 1, 0

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from itertools import accumulate, repeat
+from math import comb, lcm, prod
+from operator import getitem, mul
 from typing import Mapping, Sequence, Union
 
 from .combinatorics import MultiIndex, compositions, multinomial
@@ -44,16 +47,44 @@ def _clean_terms(terms: Mapping[MultiIndex, RationalLike], n: int) -> dict[Multi
             raise ValueError(f"exponent vector {key} has length {len(key)}, expected {n}")
         if any(not isinstance(e, int) or e < 0 for e in key):
             raise ValueError(f"exponent vector {key} must hold nonnegative integers")
-        coeff = Fraction(c)
+        coeff = c if type(c) is Fraction else Fraction(c)
+        if key in clean:
+            coeff += clean[key]  # a repeated key keeps its first place
         if coeff:
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-            if not clean[key]:
-                del clean[key]
+            clean[key] = coeff
+        elif key in clean:
+            del clean[key]
     return clean
 
 
+class _SparsePolynomial:
+    """What both polynomial classes share: coefficient lookup, and the
+    integer form, built on first use and kept on the instance: the least
+    common denominator cden of the coefficients, the top degree dmax and the
+    numerators over cden in term order; apart from them, as the grid kernel
+    never reads it, each variable's top exponent.  Instances are immutable,
+    so neither goes stale."""
+
+    def coefficient(self, beta: Sequence[int]) -> Fraction:
+        return self.terms.get(tuple(beta), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @cached_property
+    def _integer_form(self) -> tuple[int, int, tuple[int, ...]]:
+        coeffs = self.terms.values()
+        cden = lcm(*(c.denominator for c in coeffs))
+        dmax = self.d if isinstance(self, HomogeneousPolynomial) else self.degree()
+        return cden, dmax, tuple(c.numerator * (cden // c.denominator) for c in coeffs)
+
+    @cached_property
+    def _top_exponents(self) -> tuple[int, ...]:
+        return tuple(map(max, zip((0,) * self.n, *self.terms)))
+
+
 @dataclass(frozen=True)
-class HomogeneousPolynomial:
+class HomogeneousPolynomial(_SparsePolynomial):
     """Sparse homogeneous polynomial of fixed degree d in n variables."""
 
     n: int
@@ -71,15 +102,9 @@ class HomogeneousPolynomial:
                 raise ValueError(f"term {key} has degree {sum(key)}, expected {self.d}")
         object.__setattr__(self, "terms", clean)
 
-    def coefficient(self, beta: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(beta), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 @dataclass(frozen=True)
-class GeneralPolynomial:
+class GeneralPolynomial(_SparsePolynomial):
     """Sparse polynomial with mixed total degrees in n variables."""
 
     n: int
@@ -92,12 +117,6 @@ class GeneralPolynomial:
 
     def degree(self) -> int:
         return max((sum(beta) for beta in self.terms), default=0)
-
-    def coefficient(self, beta: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(beta), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 Polynomial = Union[HomogeneousPolynomial, GeneralPolynomial]
@@ -319,38 +338,33 @@ def _format_rational(v: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _cleared_point(n: int, x: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """(a, D) with x = a / D, D the least common denominator of x's
+    entries; refuses a point of a dimension other than n."""
+    point = [v if type(v) is Fraction else Fraction(v) for v in x]
+    if len(point) != n:
+        raise ValueError(f"point has dimension {len(point)}, expected {n}")
+    den = lcm(*(v.denominator for v in point))
+    return [v.numerator * (den // v.denominator) for v in point], den
+
+
 def evaluate(f: Polynomial, x: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational point.
 
-    Internally clears denominators so the hot loop is pure integer
-    arithmetic: with x_i = a_i/D and scaled integer coefficients, each term
-    contributes an integer and a single Fraction is formed at the end.
+    With x = a/D and f's integer form, each term contributes the integer
+    c * a^beta * D^(dmax - |beta|), read from one table of powers per
+    variable, and a single Fraction is formed at the end.
     """
-    point = [Fraction(v) for v in x]
-    if len(point) != f.n:
-        raise ValueError(f"point has dimension {len(point)}, expected {f.n}")
-    if not f.terms:
-        return Fraction(0)
-    dmax = f.d if isinstance(f, HomogeneousPolynomial) else f.degree()
-    xden = lcm(*(v.denominator for v in point)) if point else 1
-    a = [v.numerator * (xden // v.denominator) for v in point]
-    cden = lcm(*(c.denominator for c in f.terms.values()))
-    total = 0
-    for beta, c in f.terms.items():
-        prod = c.numerator * (cden // c.denominator)
-        deg = 0
-        for i, e in enumerate(beta):
-            if e == 0:
-                continue
-            base = a[i]
-            if base == 0:
-                prod = 0
-                break
-            deg += e
-            prod *= base if e == 1 else base**e
-        if prod:
-            total += prod * xden ** (dmax - deg)
-    return Fraction(total, cden * xden**dmax)
+    a, den = _cleared_point(f.n, x)
+    cden, dmax, numerators = f._integer_form
+    powers = [list(accumulate(repeat(v, top), mul, initial=1)) for v, top in zip(a, f._top_exponents)]
+    terms = zip(numerators, f.terms)
+    if isinstance(f, HomogeneousPolynomial):  # every |beta| is dmax: no power of D to add
+        total = sum(c * prod(map(getitem, powers, beta)) for c, beta in terms)
+    else:
+        lift = list(accumulate(repeat(den, dmax), mul, initial=1))
+        total = sum(c * prod(map(getitem, powers, beta)) * lift[dmax - sum(beta)] for c, beta in terms)
+    return Fraction(total, cden * den**dmax)
 
 
 # ---------------------------------------------------------------------------

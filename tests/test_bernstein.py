@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from itertools import islice
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +391,33 @@ class TestMoments:
             moment_direct(2, 2, (1, 0), [F(1, 2), F(1, 3)])
         with pytest.raises(ValueError):
             moment_stirling(2, 2, (1, 0), [F(3, 2), F(-1, 2)])
+
+    def test_point_checks_keep_their_messages(self):
+        for route in (moment_direct, moment_stirling):
+            with pytest.raises(ValueError, match="^point has dimension 3, expected 2$"):
+                route(2, 2, (1, 0), [F(1, 3)] * 3)
+            for x in ([F(3, 2), F(-1, 2)], [F(1, 2), F(1, 3)], (1, 1), [F(-1, 3), F(2, 3), F(2, 3)]):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'point {x!r} is not on the standard simplex')}$"):
+                    route(len(x), 2, (1,) + (0,) * (len(x) - 1), x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        r=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_routes_agree_with_naive_sum(self, n, r, data):
+        beta = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+        x = [F(w, sum(weights)) for w in weights]  # zero entries, and unequal denominators
+        naive = sum(
+            prod(a**b for a, b in zip(alpha, beta)) * factorial(r) // prod(map(factorial, alpha))
+            * prod(v**a for v, a in zip(x, alpha))
+            for alpha in enumerate_grid(n, r)
+        )
+        assert moment_direct(n, r, beta, x) == moment_stirling(n, r, beta, x) == naive
+        zero = (0,) * n
+        assert moment_direct(n, r, zero, x) == moment_stirling(n, r, zero, x) == 1
 
     def test_moment_order_is_capped(self):
         x = [F(1, 3), F(2, 3)]

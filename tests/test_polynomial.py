@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexopt import (
     GeneralPolynomial,
@@ -21,10 +24,26 @@ from simplexopt import (
     scale,
 )
 from simplexopt.polynomial import MAX_DEGREE, MAX_TERM_ENTRIES
-from conftest import naive_evaluate, random_polynomial
+from conftest import coefficients, homogeneous_polynomials, naive_evaluate, random_polynomial
 
 F = Fraction
 EXAMPLE_QUADRATIC = "2*x1^2 + x2^2 - 5*x1*x2"
+
+
+def oracle_value(f, x) -> Fraction:
+    """sum of c * prod x_i^e over the terms, one Fraction at a time."""
+    return sum((c * prod(F(v) ** e for v, e in zip(x, beta)) for beta, c in f.terms.items()), F(0))
+
+
+def points(n):
+    return st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 9)), min_size=n, max_size=n)
+
+
+@st.composite
+def general_polynomials(draw, n):
+    """Up to six terms of mixed degrees 0..9, constants included."""
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    return GeneralPolynomial(n, draw(st.dictionaries(monomials, coefficients(draw(st.booleans())), max_size=6)))
 
 
 class TestParsing:
@@ -142,6 +161,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             parse_polynomial("x1", 0)
 
+    def test_keys_that_collide_after_tuple_merge(self):
+        # range(1, -1, -1) is the key (1, 0) once made a tuple
+        assert HomogeneousPolynomial(2, 1, {(1, 0): 1, range(1, -1, -1): -1}).is_zero()
+        f = HomogeneousPolynomial(2, 1, {(1, 0): 1, range(1, -1, -1): 2})
+        assert f.terms == {(1, 0): F(3)}
+        assert format_polynomial(f) == "3*x1"
+
+    def test_term_order_follows_first_appearance(self):
+        # a key summed into keeps its place; one that cancels and comes back
+        # (bytes iterate as ints) goes to the end
+        f = GeneralPolynomial(2, {(1, 0): 1, (0, 1): 2, (0, 0): 5, range(0, 2): F(1, 2)})
+        assert list(f.terms.items()) == [((1, 0), F(1)), ((0, 1), F(5, 2)), ((0, 0), F(5))]
+        g = GeneralPolynomial(2, {(1, 0): 1, (0, 1): 2, range(1, -1, -1): -1, b"\x01\x00": 4})
+        assert list(g.terms.items()) == [((0, 1), F(2)), ((1, 0), F(4))]
+
+    def test_coefficients_keep_value_and_type(self):
+        c = F(3, 7)
+        assert HomogeneousPolynomial(1, 1, {(1,): c}).terms[(1,)] is c
+        f = HomogeneousPolynomial(2, 1, {(1, 0): 2, (0, 1): True})
+        assert f.terms == {(1, 0): F(2), (0, 1): F(1)}
+        assert all(type(v) is Fraction for v in f.terms.values())
+
 
 class TestFormatting:
     def test_example_string(self):
@@ -150,6 +191,14 @@ class TestFormatting:
 
     def test_zero(self):
         assert format_polynomial(parse_polynomial("x1 - x1", 1)) == "0"
+
+    def test_term_order_of_text_and_map(self):
+        # parsing keeps the text's term order; formatting writes exponents
+        # in descending order and leaves the map as it was
+        f = parse_polynomial("x2^2 - 5*x1*x2 + 2*x1^2", 2)
+        assert list(f.terms) == [(0, 2), (1, 1), (2, 0)]
+        assert format_polynomial(f) == format_polynomial(parse_polynomial(EXAMPLE_QUADRATIC, 2))
+        assert list(f.terms) == [(0, 2), (1, 1), (2, 0)]
 
     def test_round_trip_random(self, rng):
         for _ in range(60):
@@ -201,6 +250,25 @@ class TestEvaluate:
         for _ in range(20):
             x = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(2)]
             assert evaluate(g, x) == naive_evaluate(g, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_calls_match_oracle(self, data):
+        n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+        f, g = (data.draw(homogeneous_polynomials(n=st.just(n), d=st.just(d))) for _ in range(2))
+        h = data.draw(general_polynomials(n))
+        c = data.draw(coefficients(False))
+        before = [(p, repr(p), list(p.terms.items())) for p in (f, g, h)]
+        zeros = HomogeneousPolynomial(n, d, {}), GeneralPolynomial(n, {})
+        # the same instances again and again, at points of other
+        # denominators, between new sums and multiples of them
+        for x in data.draw(st.lists(points(n), min_size=1, max_size=3)):
+            for p in (f, g, h, add(f, g), scale(f, c), f, *zeros, h, add(g, scale(g, -1)), g):
+                assert evaluate(p, x) == oracle_value(p, x)
+        for p, text, items in before:
+            assert p == replace(p)
+            assert repr(p) == text
+            assert list(p.terms.items()) == items
 
     def test_linearity(self, rng):
         for _ in range(30):
