@@ -10,9 +10,13 @@ this repository's BENCHMARK.json, the parent first on even i and the change
 first on odd i, one process at a time.  The output holds, per workload,
 every pair's metrics, `failed` count, job count and tail percentile for both
 sides, and per metric the medians and quartiles of both sides and the number
-of pairs the change won.  A run that exits non-zero, or whose last two lines
-are not its provenance and result, stops the script with the workload, seed,
-side, exit code and the end of the run's standard error.
+of pairs the change won; the `job_cpu_tail_s` entry also lists each side's
+tail percentiles.  `job_cpu_tail_s` is the p95 job of a run below 10,000
+timed jobs and the p99.9 job at 10,000 or more, so a pair whose two runs
+take different percentiles compares different jobs: each such pair prints
+a warning line to standard error.  A run that exits non-zero, or whose last
+two lines are not its provenance and result, stops the script with the
+workload, seed, side, exit code and the end of the run's standard error.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ def summary(pairs: list[dict]) -> dict:
             "change_lower_in": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
             "pairs": len(pairs),
         }
+    out["job_cpu_tail_s"].update({f"{side}_percentiles": [p[side]["job_tail_percentile"] for p in pairs] for side in ("parent", "change")})
     return out
 
 
@@ -80,6 +85,10 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run(getattr(args, side), workload, seed, seconds, side)
             pairs.append(pair)
+            tails = [pair[side]["job_tail_percentile"] for side in ("parent", "change")]
+            if tails[0] != tails[1]:
+                print(f"warning: {workload} seed {seed}: job_cpu_tail_s compares the parent's p{tails[0]} job "
+                      f"with the change's p{tails[1]} job", file=sys.stderr)
             print(json.dumps({workload: pair}), flush=True)
         result["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
     args.out.write_text(json.dumps(result, indent=1) + "\n")

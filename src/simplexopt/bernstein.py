@@ -18,28 +18,21 @@ module computes three independent ways:
                         inputs.
 
 The same machinery evaluates the moments of the multinomial distribution two
-ways (full enumeration vs the Stirling closed form), and a seeded Monte Carlo
-random walk provides a floating-point cross-check of B_r(f)(x).
+ways (the grid sum as a chain of binomials vs the Stirling closed form), and a
+seeded Monte Carlo random walk provides a floating-point cross-check of B_r(f)(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import prod, sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    MultiIndex,
-    compositions,
-    falling_factorial,
-    multinomial,
-    stirling2,
-)
+from .combinatorics import MultiIndex, binomial_row, falling_factorial, stirling2
 from .grid import MAX_EXPANDED_POINTS, _Kernel, _require_grid, _require_order
 from .polynomial import (
     MAX_DEGREE,
@@ -73,16 +66,22 @@ class BernsteinResult:
 
 
 def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
-    """Degree-r homogeneous form: the coefficient of x^alpha is
-    f(alpha/r) * r!/alpha!, a term per point of a grid of at most
-    MAX_EXPANDED_POINTS points."""
+    """Degree-r homogeneous form: the coefficient of x^alpha is f(alpha/r) *
+    r!/alpha!, r!/alpha! a product of entries of rows C(m, .) built once each,
+    a term per point of a grid of at most MAX_EXPANDED_POINTS points."""
     _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
     kernel = _Kernel(f, r)
-    terms = {
-        alpha: Fraction(v * multinomial(r, alpha), kernel.denom)
-        for alphas, values in kernel.values()
-        for alpha, v in zip(map(tuple, alphas), values)
-    }
+    rows: dict[int, list[int]] = {}
+    terms = {}
+    for alphas, values in kernel.values():
+        for alpha, v in zip(alphas, values):
+            w, m = 1, r
+            for a_i in alpha[:-1]:
+                if m not in rows:
+                    rows[m] = binomial_row(m)
+                w *= rows[m][a_i]
+                m -= a_i
+            terms[tuple(alpha)] = Fraction(v * w, kernel.denom)
     poly = HomogeneousPolynomial(f.n, r, terms)
     return BernsteinResult(homogeneous=poly, reduced=None, r=r, source=SOURCE_DEFINITIONAL)
 
@@ -113,22 +112,18 @@ def _require_stirling(monomials: Iterable[MultiIndex], n: int) -> None:
         raise ValueError(f"the Stirling expansion walks {tuples} tuples of {n} entries, past {MAX_STIRLING_TUPLES} tuples or {MAX_TERM_ENTRIES} entries")
 
 
-def _monomial_closed_form(beta: MultiIndex, r: int) -> dict[MultiIndex, Fraction]:
-    """Reduced form of the order-r approximation of x^beta."""
-    scale = r ** sum(beta)
-    return {gamma: Fraction(w, scale) for gamma, w in _stirling_weights(beta, r)}
-
-
 def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
-    """Reduced form of degree <= d, built by summing the per-monomial
-    Stirling closed forms weighted by the coefficients of f."""
+    """Reduced form of degree <= d: the per-monomial Stirling closed forms,
+    weighted by the numerators of f and summed per gamma over cden * r^d."""
     _require_order(r)
     _require_stirling(f.terms, f.n)
-    acc: dict[MultiIndex, Fraction] = {}
-    for beta, c in f.terms.items():
-        for gamma, w in _monomial_closed_form(beta, r).items():
-            acc[gamma] = acc.get(gamma, Fraction(0)) + c * w
-    reduced = GeneralPolynomial(f.n, acc)
+    cden, dmax, numerators = f._integer_form
+    acc: dict[MultiIndex, int] = {}
+    for beta, c in zip(f.terms, numerators):
+        for gamma, w in _stirling_weights(beta, r):
+            acc[gamma] = acc.get(gamma, 0) + c * w
+    den = cden * r**dmax
+    reduced = GeneralPolynomial(f.n, {gamma: Fraction(total, den) for gamma, total in acc.items()})
     return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=SOURCE_CLOSED_FORM)
 
 
@@ -228,39 +223,36 @@ def _check_moment_order(n: int, beta: Sequence[int]) -> MultiIndex:
     return order
 
 
-# Fewer than 128 points enter per benchmark pass or quick selftest, and every
-# reuse falls within one; a larger cache only keeps dead tables alive.
-@lru_cache(maxsize=128)
-def _probability_numerators(n: int, r: int, a: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
-    """Integer numerators (over denominator sum(a)^r) of the multinomial
-    probabilities (r!/alpha!) x^alpha for x = a / sum(a), dropping zeros: a
-    row per point of a grid of at most MAX_EXPANDED_POINTS points."""
-    _require_grid(n, r, MAX_EXPANDED_POINTS, "the direct moment sum")
-    rows = []
-    for alpha in compositions(n, r):
-        weight = multinomial(r, alpha)
-        for a_i, count in zip(a, alpha):
-            if count:
-                if a_i == 0:
-                    weight = 0
-                    break
-                weight *= a_i**count
-        if weight:
-            rows.append((alpha, weight))
-    return tuple(rows)
-
-
 def moment_direct(
     n: int, r: int, beta: Sequence[int], x: Sequence[RationalLike]
 ) -> Fraction:
     """Moment of order beta of the multinomial distribution with r trials and
-    cell probabilities x, by full enumeration:
+    cell probabilities x = a / D, the grid sum
 
-        sum over |alpha| = r of  alpha^beta * (r!/alpha!) * x^alpha.
-    """
+        sum over |alpha| = r of  alpha^beta * (r!/alpha!) * x^alpha,
+
+    taken one coordinate at a time as a chain of binomials: sums[s] holds the
+    sum over the leading entries of alpha with total s of prod C(r - s_i,
+    alpha_i) * a_i^alpha_i * alpha_i^beta_i, s_i the total before alpha_i.  At
+    most 3 * grid_size(n, r) + 2r + 2 steps, each a big int times a small one."""
     a, den = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
-    total = sum(weight * prod(map(pow, alpha, beta)) for alpha, weight in _probability_numerators(n, r, tuple(a)))
+    _require_grid(n, r, MAX_EXPANDED_POINTS, "the direct moment sum")
+    sums = [1]
+    for a_i, b_i in zip(a[:-1], beta[:-1]):
+        nxt = [0] * (r + 1)
+        for s, c in enumerate(sums):
+            m = r - s
+            for k in range(m + 1):  # c = sums[s] * C(m, k) * a_i^k
+                nxt[s + k] += c * k**b_i
+                c = c * a_i * (m - k) // (k + 1)
+        sums = nxt
+    # the last entry is r - s: Horner in a_n over the totals s (with one
+    # variable, sums is [1] and a_n = D = 1, so no power of a_n is missing)
+    a_n, b_n = a[-1], beta[-1]
+    total = 0
+    for s, acc in enumerate(sums):
+        total = total * a_n + acc * (r - s) ** b_n
     return Fraction(total, den**r)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, perm
 from typing import Iterator, Sequence
 
@@ -93,6 +94,11 @@ def stirling2(b: int, a: int) -> int:
         return 0
     _extend_stirling(b)
     return _stirling_rows[b][a]
+
+
+def binomial_row(m: int) -> list[int]:
+    """[C(m, 0), ..., C(m, m)], each entry from the one before it."""
+    return list(accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1))
 
 
 def multinomial(r: int, alpha: Sequence[int]) -> int:

@@ -120,7 +120,8 @@ _BLOCK_CELLS = 1 << 17
 # Largest grid a scan accepts; a larger one is refused before any work.
 MAX_GRID_POINTS = 10**8
 # Largest grid a walk with a Python object per point accepts (the definitional
-# form, the direct moment sum, a Python-int scan: tens of us, ~200 B each).
+# form, a Python-int scan: tens of us, ~200 B each); the direct moment sum keeps
+# none, but takes up to 3x as many integer steps, under the same limit.
 MAX_EXPANDED_POINTS = 10**4
 # Largest n * grid_size a walk accepts: a block holds at least one point, so
 # a grid wider than a block is walked a point at a time.

@@ -1,7 +1,9 @@
 import re
+import time
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,11 +27,12 @@ from simplexopt import (
     multinomial,
     parse_polynomial,
     sample_grid_points,
+    stirling2,
 )
 from simplexopt import bernstein as bernstein_module
 from simplexopt.grid import MAX_EXPANDED_POINTS, _Kernel, grid_size
 from simplexopt.polynomial import MAX_DEGREE
-from conftest import homogeneous_polynomials, random_polynomial
+from conftest import homogeneous_polynomials, naive_evaluate, random_polynomial
 
 F = Fraction
 EXAMPLE_QUADRATIC = "2*x1^2 + x2^2 - 5*x1*x2"
@@ -79,6 +82,42 @@ class TestDefinitional:
         assert grid_size(200, 200) > MAX_EXPANDED_POINTS
         with pytest.raises(ValueError, match="points"):
             bernstein_definitional(parse_polynomial("x1^2 + x2^2", 200), 200)
+
+
+    def test_weights_at_the_grid_limit(self):
+        # a multinomial per grid point took 12-16 s of CPU at this order
+        f, r = parse_polynomial("x1^2 + x2^2", 2), 9999
+        assert grid_size(2, r) == MAX_EXPANDED_POINTS
+        start = time.process_time()
+        terms = bernstein_definitional(f, r).homogeneous.terms
+        assert time.process_time() - start < 4
+        assert len(terms) == r + 1
+        for a1 in (0, 1, 2, 137, 4999, 5000, 9998, 9999):
+            x = [F(a1, r), F(r - a1, r)]
+            assert terms[(a1, r - a1)] == (x[0] ** 2 + x[1] ** 2) * comb(r, a1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=homogeneous_polynomials(), r=st.integers(1, 6))
+    def test_term_maps_match_fraction_oracles_in_order(self, f, r):
+        # definitional: f(alpha/r) * r!/alpha! at every grid point, in the
+        # order the kernel yields the points, zeros dropped
+        order = [tuple(alpha) for alphas, _ in _Kernel(f, r).values() for alpha in alphas]
+        expected = {}
+        for alpha in order:
+            c = naive_evaluate(f, [F(a, r) for a in alpha]) * multinomial(r, alpha)
+            if c:
+                expected[alpha] = c
+        assert list(bernstein_definitional(f, r).homogeneous.terms.items()) == list(expected.items())
+        # closed form: c * r^(|gamma| falling) * prod S(beta_i, gamma_i) / r^|beta|
+        # summed per gamma, in the order gamma first appears, zeros dropped
+        acc = {}
+        for beta, c in f.terms.items():
+            for gamma in product(*(range(1, b + 1) if b else range(1) for b in beta)):
+                w = falling_factorial(r, sum(gamma)) * prod(map(stirling2, beta, gamma))
+                if w:
+                    acc[gamma] = acc.get(gamma, F(0)) + c * F(w, r ** sum(beta))
+        expected = [(gamma, c) for gamma, c in acc.items() if c]
+        assert list(bernstein_closed_form(f, r).reduced.terms.items()) == expected
 
 
 class TestClosedFormMonomials:
@@ -349,8 +388,6 @@ class TestMoments:
     def test_single_coordinate_order_collapses_to_univariate_sum(self, rng):
         # beta supported on one coordinate: the closed form collapses to a
         # univariate Stirling sum in that coordinate alone.
-        from simplexopt import stirling2
-
         for _ in range(10):
             n = rng.randint(2, 4)
             r = rng.randint(1, 6)
@@ -377,14 +414,26 @@ class TestMoments:
                         xprod *= v
                 assert moment_direct(n, r, beta, x) == falling_factorial(r, k) * xprod
 
-    def test_probability_table_cache_is_bounded(self):
-        from simplexopt.bernstein import _probability_numerators
+    def test_direct_sum_at_the_grid_limit(self):
+        # the largest admitted order in 2, 3 and 4 variables; a walk paying a
+        # binomial per grid point took 16-17 s of CPU at (2, 9999)
+        for n, r, beta in ((2, 9999, (3, 2)), (3, 139, (2, 0, 3)), (4, 37, (1, 2, 0, 3))):
+            assert grid_size(n, r) <= MAX_EXPANDED_POINTS < grid_size(n, r + 1)
+            x = [F(i + 1, n * (n + 1) // 2) for i in range(n)]
+            start = time.process_time()
+            direct = moment_direct(n, r, beta, x)
+            assert time.process_time() - start < 4
+            assert direct == moment_stirling(n, r, beta, x)
 
-        points = islice(enumerate_grid(3, 37), 200)
-        for alpha in points:
-            x = [F(a, 37) for a in alpha]
-            assert moment_direct(3, 2, (1, 1, 0), x) == moment_stirling(3, 2, (1, 1, 0), x)
-        assert _probability_numerators.cache_info().currsize <= 128
+    def test_one_variable_takes_any_order_in_constant_memory(self):
+        # a one-variable grid is one point, whatever r is
+        tracemalloc.start()
+        try:
+            assert moment_direct(1, 10**6, (3,), [1]) == 10**18
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_rejects_points_off_the_simplex(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from simplexopt import combinatorics
 from simplexopt.combinatorics import (
+    binomial_row,
     check_identity_falling_sum,
     check_identity_stirling_split,
     compositions,
@@ -104,6 +105,14 @@ class TestMultinomial:
             for a in alpha:
                 prod *= factorial(a)
             assert multinomial(6, alpha) * prod == factorial(6)
+
+
+class TestBinomialRow:
+    def test_matches_comb(self):
+        from math import comb
+
+        for m in (0, 1, 2, 7, 40, 333):
+            assert binomial_row(m) == [comb(m, k) for k in range(m + 1)]
 
 
 class TestSurjections:
