@@ -1,4 +1,4 @@
-"""Time grid_minimize on the dense rows of ROADMAP item 2.
+"""Time grid_minimize on the dense rows of ROADMAP items 2 and 7.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -28,6 +28,8 @@ ROWS = {
     "dense-quartic-n6-r14": (6, 4, 14),
     "dense-cubic-n12-r12": (12, 3, 12),
     "dense-quadratic-n10-r20": (10, 2, 20),
+    # past the split tables' budget: streamed, k = 0
+    "dense-quadratic-n20-r8": (20, 2, 8),
 }
 
 

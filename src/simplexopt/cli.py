@@ -257,7 +257,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         )
     else:
         print(f"moment of order {tuple(beta)} with r={args.r} trials")
-        print(f"direct enumeration: {_rat_text(direct)}")
+        print(f"binomial chain:     {_rat_text(direct)}")
         print(f"Stirling form:      {_rat_text(closed)}")
         print("routes agree exactly")
     return 0

@@ -11,13 +11,15 @@ Every grid scan runs through one kernel.  The polynomial, compiled to
 integer numerators over a common denominator, is evaluated as
 Phi(head) . C . Psi(tail): a point's first k coordinates are its head, the
 rest its tail, C holds the coefficients by head and tail monomial, and each
-total of the heads meets the matching total of the tails in one int64
-matrix product.  k = 0 streams numpy blocks of index vectors as tails.  An
-a-priori bound decides the arithmetic: one int64 matrix when no product or
-partial sum can overflow, otherwise a digit matrix per int64 limb under a
-2^61 per-limb budget, carries normalized per chunk.  Only when the
-monomials alone leave no room for such digits does the same code run on
-arrays of Python ints.  Results are exact either way.
+total of the heads meets the matching total of the tails in one matrix
+product.  k = 0 streams numpy blocks of index vectors as tails.  An
+a-priori bound decides the arithmetic, the first rung that fits of: one
+float64 matrix, so that every product runs in BLAS; a digit matrix per
+float64 limb under a 2^51 per-limb budget; one int64 matrix; int64 limbs
+under 2^61; and, only when the monomials alone leave no room for digits,
+arrays of Python ints.  Each rung holds every integer its products and
+partial sums can reach, so results are exact on every rung, and callers
+see only Python ints.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def composition_unrank(n: int, r: int, rank: int) -> MultiIndex:
 # A block holds at most _BLOCK_ROWS grid points and at most _BLOCK_CELLS
 # index-vector entries (n * rows), so wide grids get narrower blocks: large
 # enough that numpy's per-call overhead is spread over many points, small
-# enough that a block's working set (its index vectors, one int64 or object
-# row per variable, two accumulators) stays small.
+# enough that a block's working set (its index vectors, one row per
+# variable, two accumulators) stays small.
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 17
 # Largest grid a scan accepts; a larger one is refused before any work.
@@ -128,12 +130,13 @@ MAX_EXPANDED_POINTS = 10**4
 MAX_GRID_ENTRIES = 10**9
 # A split scan's index tables, with the arrays that build them, hold at most
 # _TABLE_CELLS entries, and so do the monomial rows and G = Phi @ C of the
-# totals built at once; a numpy call costs about as much as _CALL_COST int64
+# totals built at once; a numpy call costs about as much as _CALL_COST
 # element operations.
 _TABLE_CELLS = 1 << 21
 _CALL_COST = 2000
-_INT64_MAX = 2**63 - 1
-_LIMB_BUDGET = 2**61
+# The kernel's arithmetic rungs, in order: (dtype, largest sum |c'| * r^degree
+# of one matrix, per-limb budget); float64 holds every integer up to 2^53.
+_RUNGS = ((np.float64, 2**53, 2**51), (np.int64, 2**63 - 1, 2**61))
 
 
 def _closed_form(out: np.ndarray, s: int, c: int, anti: np.ndarray) -> None:
@@ -272,7 +275,7 @@ def _monomials(points: np.ndarray, variables: np.ndarray, factors: np.ndarray, d
 def _split(n: int, r: int, terms: list[MultiIndex], limbs: int) -> int:
     """The head length of a scan: n // 2 when its r + 1 matrix products cost
     less than streaming the grid's blocks and its index tables fit
-    _TABLE_CELLS, else 0.  Costs count int64 element operations plus
+    _TABLE_CELLS, else 0.  Costs count element operations plus
     _CALL_COST per numpy call, the call counts fitted to forced-k timings
     of measured scans: streaming pays calls per block and per suffix table
     (up to (n - 2) * r of them), writes n entries and gathers every factor
@@ -306,15 +309,21 @@ class _Kernel:
     k = 0 streams the grid's blocks as the tails of one empty head, whose G
     is C.  Products fill a buffer of _BLOCK_CELLS entries, a chunk.
 
-    If sum |c'| * r^degree <= 2^63 - 1, no product or partial sum overflows
-    int64 and C is one matrix (limbs == 1).  Otherwise each c' is split into
-    `limbs` signed base-2^s digits, the sign of c' on each, a digit matrix
-    per limb, with s the largest width such that
-    terms * (2^s - 1) * r^degree <= 2^61; carries then run from the low limb
-    up (acc[l+1] += acc[l] >> s, acc[l] &= 2^s - 1), every intermediate below
-    2^62, and values order as (acc[L-1], ..., acc[0]) do.  Only when
-    r^degree leaves no room for two-bit digits (s < 2) do the arrays hold
-    Python ints (dtype=object).
+    Every product and partial sum of Phi(head) . C . Psi(tail), in any
+    order, with or without fused multiply-add, is an integer of magnitude at
+    most sum |c'| * r^degree, so a dtype holding every integer up to that
+    bound is exact.  The first of _RUNGS (float64 to 2^53, then int64 to
+    2^63 - 1) that holds it takes C as one matrix (limbs == 1).  Otherwise
+    each c' is split into `limbs` signed base-2^s digits, the sign of c' on
+    each, a digit matrix per limb, s the largest width such that
+    terms * (2^s - 1) * r^degree is within the rung's per-limb budget.  A
+    float64 chunk is converted to int64, exactly, its entries being integers,
+    and carries then run from the low limb up (acc[l+1] += acc[l] >> s,
+    acc[l] &= 2^s - 1), every intermediate below twice the budget, and
+    values order as (acc[L-1], ..., acc[0]) do.  A rung with no room for
+    two-bit digits (s < 2) passes to the next; past the last, the arrays
+    hold Python ints (dtype=object).  float64 assumes the classical matrix
+    product, as OpenBLAS computes it, not a Strassen-type one.
     """
 
     def __init__(self, f: Polynomial, r: int):
@@ -323,16 +332,19 @@ class _Kernel:
         cden, dmax, numerators = f._integer_form
         terms = {b: c * r ** (dmax - sum(b)) for b, c in zip(f.terms, numerators)} or {(0,) * n: 0}
         self.denom = cden * r**dmax
-        self.dtype: type = np.int64
+        self.dtype: type = object
         self.limbs, self.shift = 1, 0
-        if sum(map(abs, terms.values())) * r**dmax > _INT64_MAX:
-            # the widest digit with terms * (2^shift - 1) * r^dmax <= 2^61
-            shift = (_LIMB_BUDGET // (len(terms) * r**dmax) + 1).bit_length() - 1
-            if shift < 2:
-                self.dtype = object
-            else:
-                self.shift = shift
+        bound = sum(map(abs, terms.values())) * r**dmax
+        for dtype, single, budget in _RUNGS:
+            if bound <= single:
+                self.dtype = dtype
+                break
+            # the widest digit with terms * (2^shift - 1) * r^dmax <= budget
+            shift = (budget // (len(terms) * r**dmax) + 1).bit_length() - 1
+            if shift >= 2:
+                self.dtype, self.shift = dtype, shift
                 self.limbs = -(-max(map(abs, terms.values())).bit_length() // shift)
+                break
         self.k = k = _split(n, r, list(terms), self.limbs)
         heads = {h: i for i, h in enumerate(dict.fromkeys(b[:k] for b in terms))}
         tails = {t: j for j, t in enumerate(dict.fromkeys(b[k:] for b in terms))}
@@ -411,7 +423,10 @@ class _Kernel:
         yield self._normalized(buffer[:, :filled]), parts
 
     def _normalized(self, acc: np.ndarray) -> np.ndarray:
-        """acc with its carries run from the low limb up, in place."""
+        """acc as integers, a float64 chunk as an int64 copy, with its
+        carries run from the low limb up."""
+        if self.dtype is np.float64:
+            acc = acc.astype(np.int64)
         for l in range(self.limbs - 1):
             acc[l + 1] += acc[l] >> self.shift
             acc[l] &= (1 << self.shift) - 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import getitem, mul
 from typing import Mapping, Sequence, Union
 
@@ -384,13 +384,17 @@ def coefficient_range_bounds(f: HomogeneousPolynomial) -> tuple[Fraction, Fracti
     """Exact (low, high) over the Bernstein-basis coefficients of f, taken
     over *all* degree-d exponent vectors -- monomials that f omits contribute
     coefficient 0.  Every value of f on the simplex is a convex combination
-    of these coefficients, so low <= min f <= max f <= high there."""
+    of these coefficients, so low <= min f <= max f <= high there.  The
+    coefficient f_beta * beta!/d! is num_beta * beta! over cden * d!, so the
+    range is taken over those integer numerators."""
     if f.d < 1:
         raise ValueError(f"degree must be >= 1, got {f.d}")
-    values = list(bernstein_coefficients(f).values())
+    cden, d, numerators = f._integer_form
+    values = [c * prod(map(factorial, beta)) for beta, c in zip(f.terms, numerators)]
     if len(f.terms) < comb(f.n + f.d - 1, f.d):
-        values.append(Fraction(0))
-    return min(values), max(values)
+        values.append(0)
+    den = cden * factorial(d)
+    return Fraction(min(values), den), Fraction(max(values), den)
 
 
 def ptas_constant(d: int) -> int:

@@ -224,6 +224,11 @@ class TestMoments:
         assert payload["direct"] == payload["stirling"] == "5/3"
         assert payload["equal"] is True
 
+    def test_text_names_both_routes(self, capsys):
+        code, out, _ = run(capsys, "moments", "--n", "2", "--r", "3", "--beta", "2,0", "--x", "1/3,2/3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["binomial chain:     5/3 (1.66667)", "Stirling form:      5/3 (1.66667)", "routes agree exactly"]
+
     def test_off_simplex_rejected(self, capsys):
         code, _, err = run(
             capsys, "moments", "--n", "2", "--r", "3", "--beta", "1,0", "--x", "1/3,1/3"

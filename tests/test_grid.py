@@ -28,7 +28,7 @@ from simplexopt import (
 from simplexopt import bernstein_definitional, multinomial
 from simplexopt import grid as grid_module
 from simplexopt.combinatorics import _next_composition
-from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _INT64_MAX, _Kernel, _grid_blocks
+from simplexopt.grid import _BLOCK_CELLS, _BLOCK_ROWS, _Kernel, _grid_blocks
 from conftest import coefficients, homogeneous_polynomials, naive_evaluate, random_polynomial
 
 F = Fraction
@@ -448,19 +448,42 @@ class TestBlockKernel:
         assert grid_minimize(f, 9).argmin.alpha == (1, 1, 1, 2, 2, 2)
 
     def test_int64_gate_boundary(self):
-        # the gate bound is sum |c'| * r^d; 2^63 - 1 = 7 * k
+        # the gate bound is sum |c'| * r^d; 2^63 - 1 = 7 * k, and r^d = 7
+        # leaves room for float64 digits, so both take float64 limbs
         k = (2**63 - 1) // 7
         at_limit = HomogeneousPolynomial(2, 1, {(1, 0): 2**59, (0, 1): -(k - 2**59)})
         past_limit = HomogeneousPolynomial(1, 3, {(3,): 2**54})  # 2^54 * 8^3 = 2^63
-        assert _Kernel(at_limit, 7).dtype is np.int64
-        assert _Kernel(past_limit, 8).limbs > 1
         for f, r in ((at_limit, 7), (past_limit, 8)):
+            assert _Kernel(f, r).dtype is np.float64 and _Kernel(f, r).limbs > 1
             assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
-        # the largest int64 numerator is reached exactly
         top = HomogeneousPolynomial(2, 1, {(1, 0): k})
-        assert _Kernel(top, 7).dtype is np.int64
         assert grid_maximize(top, 7).value * 7 == 2**63 - 1
         assert grid_maximize(past_limit, 8).value == 2**54
+        # 8^18 = 2^54 leaves no float64 digit: 511 * 2^54 < 2^63 takes one
+        # int64 matrix and reaches its numerator exactly, 512 * 2^54 limbs
+        for c, limbs in ((511, 1), (-511, 1), (512, 2)):
+            top = HomogeneousPolynomial(2, 18, {(18, 0): F(c)})
+            assert (_Kernel(top, 8).dtype, _Kernel(top, 8).limbs) == (np.int64, limbs)
+            assert (grid_minimize if c < 0 else grid_maximize)(top, 8).value == c
+            assert scan_both(top, 8) == (brute_extremum(top, 8, True), brute_extremum(top, 8, False))
+
+    def test_float64_gate_boundary(self):
+        # sum |c'| * r^d = 2^53 takes one float64 matrix, and every integer
+        # up to 2^53 is a double; one past it takes limbs, whose numerator
+        # 2^53 + 1 no double holds, with digits as wide as T * (2^s - 1)
+        # <= 2^51 allows
+        for terms, r, limbs, shift in (
+            ({(1, 0): 2**53}, 1, 1, 0),
+            ({(1, 0): 2**53 - 1, (0, 1): -1}, 1, 1, 0),
+            ({(2, 0): 2**50 + 1, (1, 1): -(2**50 - 3), (0, 2): -2}, 2, 1, 0),
+            ({(1, 0): 2**53 + 1}, 1, 2, 51),
+            ({(1, 0): 2**53 - 1, (0, 1): -2}, 1, 2, 50),
+        ):
+            f = HomogeneousPolynomial(2, sum(next(iter(terms))), {b: F(c) for b, c in terms.items()})
+            kernel = _Kernel(f, r)
+            assert (kernel.dtype, kernel.limbs, kernel.shift) == (np.float64, limbs, shift)
+            assert kernel.extremum(False)[0] == max(terms.values()) * r ** f.d
+            assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -468,11 +491,47 @@ class TestBlockKernel:
         r=st.integers(2, 8),
     )
     def test_int64_and_limb_paths_agree(self, f, r):
+        # small coefficients take one float64 matrix, lifted ones its limbs
         assume(f.terms)
         lifted = HomogeneousPolynomial(f.n, f.d, {b: c * 2**70 for b, c in f.terms.items()})
-        assert _Kernel(f, r).dtype is np.int64 and _Kernel(lifted, r).limbs > 1
+        assert (_Kernel(f, r).dtype, _Kernel(f, r).limbs) == (np.float64, 1)
+        assert _Kernel(lifted, r).dtype is np.float64 and _Kernel(lifted, r).limbs > 1
         (lo, lo_a), (hi, hi_a) = scan_both(f, r)
         assert scan_both(lifted, r) == ((lo * 2**70, lo_a), (hi * 2**70, hi_a))
+
+    @pytest.mark.parametrize(
+        "rung, dtype, limbs",
+        [("float64", np.float64, False), ("float64 limbs", np.float64, True), ("int64", np.int64, False),
+         ("int64 limbs", np.int64, True), ("object", object, False)],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_rung_matches_brute_force_oracle(self, rung, dtype, limbs, data):
+        f, r = data.draw(rung_cases(rung))
+        kernel = _Kernel(f, r)
+        assert kernel.dtype is dtype and (kernel.limbs > 1) == limbs
+        assert scan_both(f, r) == (brute_extremum(f, r, True), brute_extremum(f, r, False))
+        # no float reaches a caller: the numerators are Python ints
+        numerators = [v for _, values in kernel.values() for v in values]
+        assert all(type(v) is int for v in numerators)
+        expected = {}
+        for alpha in enumerate_grid(f.n, r):
+            value = evaluate(f, [F(a, r) for a in alpha]) * multinomial(r, alpha)
+            if value:
+                expected[alpha] = value
+        assert bernstein_definitional(f, r).homogeneous.terms == expected
+
+    def test_int64_limbs_keep_a_grid_past_the_python_int_limit(self):
+        # 20^12 leaves no float64 digit, and 1/7 * 20^10 * 7 * 20^12 passes
+        # 2^63, but a 7-bit int64 digit fits: the 10,626 points, more than
+        # a scan in Python ints accepts, scan on 7 int64 limbs
+        f = GeneralPolynomial(5, {(12, 0, 0, 0, 0): F(1), (0, 12, 0, 0, 0): F(-3), (0, 0, 0, 0, 12): F(1), (1, 1, 0, 0, 0): F(1, 7)})
+        kernel = _Kernel(f, 20)
+        assert (kernel.dtype, kernel.limbs, kernel.shift) == (np.int64, 7, 7)
+        assert grid_size(5, 20) > grid_module.MAX_EXPANDED_POINTS
+        low, high = grid_minimize(f, 20), grid_maximize(f, 20)
+        assert (low.value, low.argmin.alpha) == (-3, (0, 20, 0, 0, 0))
+        assert (high.value, high.argmin.alpha) == (1, (0, 0, 0, 0, 20))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -493,7 +552,7 @@ class TestBlockKernel:
     def test_python_int_scans_are_limited_before_the_first_block(self, monkeypatch):
         # both scans cover the 17 points of the order-16 grid in 2 variables
         wide, narrow = GeneralPolynomial(2, {(20, 0): F(1), (0, 20): F(-3)}), sum_of_powers(2, 2)
-        assert _Kernel(wide, 16).dtype is object and _Kernel(narrow, 16).dtype is np.int64
+        assert _Kernel(wide, 16).dtype is object and _Kernel(narrow, 16).dtype is np.float64
         monkeypatch.setattr(grid_module, "MAX_EXPANDED_POINTS", grid_size(2, 16))
         assert grid_minimize(wide, 16).evaluations == grid_size(2, 16)
         monkeypatch.setattr(grid_module, "MAX_EXPANDED_POINTS", grid_size(2, 16) - 1)
@@ -560,10 +619,32 @@ class TestBlockKernel:
 
 
 @st.composite
+def rung_cases(draw, rung):
+    """(f, r) whose scan runs on the given rung.  Small coefficients of
+    either sign, plus on the limb and object rungs one term scaled past
+    2^63, so carries borrow.  r^d up to 6^4 leaves room for float64 digits;
+    from 2^54 to 2^58 only for int64 digits, and sum |c'| * r^d passes
+    2^53; past 2^61 for none."""
+    n = draw(st.integers(1, 3))
+    if rung.startswith("float64"):
+        r, d = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    else:
+        r = draw(st.integers(2, 4))
+        d = next(d for d in range(200) if r**d >= 2 ** (62 if rung == "object" else 54))
+        d += draw(st.integers(0, 1))
+    monomials = list(compositions(n, d))
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+    if rung != "float64" and rung != "int64":
+        big = draw(st.sampled_from(monomials))
+        terms[big] = terms.get(big, 0) + draw(st.sampled_from([-1, 1])) * 2 ** draw(st.integers(70, 100))
+    return HomogeneousPolynomial(n, d, {b: F(c) for b, c in terms.items()}), r
+
+
+@st.composite
 def split_cases(draw):
-    """(f, r) for int64, limb and Python-int scans, mixed degrees with a
+    """(f, r) for one-matrix, limb and Python-int scans, mixed degrees with a
     constant, and minimizers that tie across head totals."""
-    kind = draw(st.sampled_from(["int64", "limbs", "object", "mixed", "ties"]))
+    kind = draw(st.sampled_from(["matrix", "limbs", "object", "mixed", "ties"]))
     if kind == "object":
         # r^d alone passes 2^63, leaving no room for a limb digit
         f = draw(homogeneous_polynomials(n=st.integers(1, 3), d=st.integers(20, 22)))

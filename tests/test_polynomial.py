@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +316,20 @@ class TestCoefficientRange:
     def test_requires_positive_degree(self):
         with pytest.raises(ValueError):
             coefficient_range_bounds(parse_polynomial("5", 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f=homogeneous_polynomials(n=st.integers(1, 7), d=st.integers(1, 6)),
+        factor=st.sampled_from([1, 10**22, F(-1, 10**22)]),
+    )
+    def test_matches_bernstein_coefficients(self, f, factor):
+        f = scale(f, factor)
+        values = list(bernstein_coefficients(f).values())
+        if len(f.terms) < comb(f.n + f.d - 1, f.d):
+            values.append(F(0))
+        low, high = coefficient_range_bounds(f)
+        assert (low, high) == (min(values), max(values))
+        assert type(low) is F and type(high) is F
 
     def test_sandwiches_values_on_simplex(self, rng):
         for _ in range(12):
