@@ -1,4 +1,4 @@
-"""Time grid_minimize on the dense rows of ROADMAP items 2 and 7.
+"""Time grid_minimize on dense rows, split and streamed.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -28,6 +28,8 @@ ROWS = {
     "dense-quartic-n6-r14": (6, 4, 14),
     "dense-cubic-n12-r12": (12, 3, 12),
     "dense-quadratic-n10-r20": (10, 2, 20),
+    # three variables: one head per total, streamed, k = 0
+    "dense-quartic-n3-r450": (3, 4, 450),
     # past the split tables' budget: streamed, k = 0
     "dense-quadratic-n20-r8": (20, 2, 8),
 }

@@ -361,11 +361,10 @@ def ptas_approximate(
     f: HomogeneousPolynomial,
     epsilon: Fraction,
     rng: RangeInput | None = None,
-    theorem: str | None = None,
 ) -> tuple[GridPoint, Fraction, BoundCertificate]:
-    """Pick the sharpest applicable bound family (unless overridden), choose
-    the smallest adequate grid order for the target accuracy, and return the
-    minimizing grid point, its exact value, and the certificate.
+    """Pick the sharpest applicable bound family, choose the smallest
+    adequate grid order for the target accuracy, and return the minimizing
+    grid point, its exact value, and the certificate.
 
     With an exact range the returned value is guaranteed within
     epsilon * (upper - lower) of the true minimum.  An accuracy that needs
@@ -374,7 +373,7 @@ def ptas_approximate(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
         raise ValueError(f"accuracy must lie in (0, 1], got {epsilon}")
-    chosen = theorem if theorem is not None else _select_theorem(f)
+    chosen = _select_theorem(f)
     if rng is None:
         if f.d >= 1:
             rng = coefficient_range(f)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from random import Random
 from time import perf_counter
@@ -52,6 +53,10 @@ class _InternalError(Exception):
 
 
 def _rat_text(v: Fraction) -> str:
+    if v and not 2.0**-1074 <= abs(v) <= sys.float_info.max:
+        # past float range: round the exact value, a Decimal's exponent is unbounded
+        exact = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        return f"{_rat(v)} ({exact.divide(v.numerator, v.denominator).normalize(exact):.6g})"
     return f"{_rat(v)} ({float(v):.6g})"
 
 
@@ -264,8 +269,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_stable_set(args: argparse.Namespace) -> int:
-    with open(args.graphfile, encoding="utf-8") as handle:
-        adjacency = parse_graph(handle.read())
+    try:
+        with open(args.graphfile, encoding="utf-8") as handle:
+            adjacency = parse_graph(handle.read())
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read graph file {args.graphfile!r}: {exc}") from exc
     n = len(adjacency)
     brute = brute_force_stable_set_number(adjacency) if args.brute else None
     alpha_lower, f_grid, cert = stable_set_bounds(adjacency, args.r)

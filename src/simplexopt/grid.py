@@ -130,10 +130,8 @@ MAX_EXPANDED_POINTS = 10**4
 MAX_GRID_ENTRIES = 10**9
 # A split scan's index tables, with the arrays that build them, hold at most
 # _TABLE_CELLS entries, and so do the monomial rows and G = Phi @ C of the
-# totals built at once; a numpy call costs about as much as _CALL_COST
-# element operations.
+# totals built at once; a scan whose tables would not fit streams.
 _TABLE_CELLS = 1 << 21
-_CALL_COST = 2000
 # The kernel's arithmetic rungs, in order: (dtype, largest sum |c'| * r^degree
 # of one matrix, per-limb budget); float64 holds every integer up to 2^53.
 _RUNGS = ((np.float64, 2**53, 2**51), (np.int64, 2**63 - 1, 2**61))
@@ -273,20 +271,13 @@ def _monomials(points: np.ndarray, variables: np.ndarray, factors: np.ndarray, d
 
 
 def _split(n: int, r: int, terms: list[MultiIndex], limbs: int) -> int:
-    """The head length of a scan: n // 2 when its r + 1 matrix products cost
-    less than streaming the grid's blocks and its index tables fit
-    _TABLE_CELLS, else 0.  Costs count element operations plus
-    _CALL_COST per numpy call, the call counts fitted to forced-k timings
-    of measured scans: streaming pays calls per block and per suffix table
-    (up to (n - 2) * r of them), writes n entries and gathers every factor
-    of every term at each point; the split pays calls per total and, for
-    its tables, per variable, while its products, one entry per distinct
-    tail monomial at each point, are cheap enough to leave out."""
-    k, m, size = n // 2, n - n // 2, comb(n + r - 1, r)
-    blocks = -(-size // max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(n, limbs, len(terms)))))
-    stream = _CALL_COST * (2 * blocks + 2 * (n - 2) * r + 10) + size * (n + len(terms) * (2 * max(map(sum, terms)) + limbs))
-    if not k or _CALL_COST * (4 * (r + 1) + 8 * n) >= stream:
+    """The head length of a scan: n // 2 when n >= 4 and its index tables
+    fit _TABLE_CELLS, else 0.  With n <= 3 the head is one coordinate, so
+    each total has a single head, and the split would pay per total for a
+    matrix-vector product that streaming does as one product per block."""
+    if n < 4:
         return 0
+    k, m = n // 2, n - n // 2
     q, p = len(dict.fromkeys(b[:k] for b in terms)), len(dict.fromkeys(b[k:] for b in terms))
     # the head table is kept while the tail table is built: the shorter
     # table, the row of totals over it and its reordering, then the table
@@ -299,8 +290,9 @@ class _Kernel:
     At alpha/r the value of f is its numerator at alpha over a fixed positive
     integer denom, so comparisons are integer comparisons.  Each term keeps
     its cleared coefficient c' (times r^deficit below the top degree), so its
-    monomial is at most r^degree.  The first k = _split(...) coordinates of a
-    point are its head, the others its tail, and with a row per distinct
+    monomial is at most r^degree.  The first k coordinates of a point are
+    its head, the others its tail, k = n // 2 when n >= 4 and the index
+    tables fit _TABLE_CELLS, else 0 (_split), and with a row per distinct
     head monomial and a column per distinct tail monomial the c' form C:
     f(head, tail) = Phi(head) . C . Psi(tail), Phi and Psi the monomial
     rows.  The heads of total t meet the tails of total r - t in one matrix

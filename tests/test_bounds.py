@@ -283,10 +283,6 @@ class TestPtasApproximate:
         with pytest.raises(ValueError):
             ptas_approximate(sum_of_squares(2), F(0))
 
-    def test_theorem_override(self):
-        _, _, cert = ptas_approximate(sum_of_squares(2), F(1, 2), theorem="general")
-        assert cert.theorem == "general"
-
     def test_order_is_bounded_by_the_grid_limit(self, monkeypatch):
         # two variables and a 15-point limit admit orders up to 14
         for module in (bounds_module, grid_module):

@@ -298,6 +298,12 @@ class TestStableSet:
         assert perf_counter() - start < 1.0 and scans == []
         assert run(capsys, "stable-set", str(graph), "--r", "2")[0] == 0 and len(scans) == 1
 
+    def test_graph_file_that_is_not_utf8(self, capsys, tmp_path):
+        graph = tmp_path / "latin1.dimacs"
+        graph.write_bytes(b"p 2 1\ne 1 2\n\xff\n")
+        code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
+        assert code == 2 and str(graph) in err
+
     def test_edge_field_with_non_ascii_digit(self, capsys, tmp_path):
         graph = tmp_path / "superscript.dimacs"
         graph.write_text("p 2 1\ne 1 ²\n", encoding="utf-8")
@@ -323,6 +329,23 @@ class TestTextMode:
         graph.write_text("p 5 5\n" + "".join(f"e {i + 1} {(i + 1) % 5 + 1}\n" for i in range(5)), encoding="utf-8")
         code, out, _ = run(capsys, *[str(graph) if a == "{graph}" else a for a in argv])
         assert code == 0 and key in out
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["moments", "--n", "1", "--r", "1000000", "--beta", "200", "--x", "1"], "/1 (1e+1200)"),
+            (["grid-min", f"{10**400}*x1^2 + x2^2", "--n", "2", "--r", "1", "--max"], "/1 (1e+400)"),
+            (["grid-min", f" -{2 * 10**400}/3*x1", "--n", "1", "--r", "1"], "/3 (-6.66667e+399)"),
+            (["grid-min", f"1/{10**400}*x1", "--n", "1", "--r", "1"], " (1e-400)"),
+            (["bound", f"{10**400}*x1^2 + x2^2", "--n", "2", "--r", "2"], "/1 (1e+400)"),
+            (["bernstein", f"{10**400}*x1^2 + x2^2", "--n", "2", "--r", "2"], "/2 (5e+399)"),
+            (["grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "2"], "-1/2 (-0.5)"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_values_beyond_float_range_print_with_their_exponent(self, capsys, argv, shown):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and shown in out
 
 
 class TestSelftest:

@@ -708,7 +708,7 @@ class TestSplitKernel:
             high = parse_polynomial(f"{c}*x2^2 + {4 * c}*x1*x3", 4)
             assert grid_minimize(low, 2).argmin.alpha == grid_maximize(high, 2).argmin.alpha == (0, 2, 0, 0)
 
-    @pytest.mark.parametrize("n, r", [(2, 10**6), (3, 3000), (1000, 2)])
+    @pytest.mark.parametrize("n, r", [(2, 10**6), (3, 450), (3, 3000), (1000, 2)])
     def test_narrow_and_wide_grids_take_few_products(self, monkeypatch, n, r):
         # a Python loop over r + 1 tiny products, or over single points,
         # would take far more products than the grid's blocks; a streamed
@@ -738,6 +738,12 @@ class TestSplitKernel:
         assert counts["chunks"] <= 1.2 * -(-size // columns) + 2
         assert peak < 4 * 2**20
         assert grid_minimize(f, r).evaluations == size
+
+    @pytest.mark.parametrize("r", [64, 200, 450])
+    def test_three_variables_stream(self, r):
+        # one head per total: a split would take r + 1 matrix-vector products
+        f = HomogeneousPolynomial(3, 4, {b: F(2 * i - 15, i + 1) for i, b in enumerate(compositions(3, 4))})
+        assert _Kernel(f, r).k == 0
 
     @pytest.mark.parametrize("n, r", [(72, 3), (80, 3), (5, 31), (10, 20)])
     def test_split_tables_stay_within_their_budget(self, monkeypatch, n, r):
