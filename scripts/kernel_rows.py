@@ -1,13 +1,15 @@
-"""Time grid_minimize on dense rows, split and streamed.
+"""Time grid_minimize on dense rows, split and streamed, and one wide row.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
 Imports simplexopt from DIR (default: ./src of this checkout), so two
-checkouts can be compared on the same inputs.  Each row is a dense
-polynomial (every monomial of degree d in n variables, seeded rational
-coefficients) scanned at order r.  Prints one JSON object: per row, the
-term and point counts, the minimum CPU seconds of REPEATS scans, a digest of
-(value, argmin), and the process's peak RSS after the row, in MiB.
+checkouts can be compared on the same inputs.  A dense row is a polynomial
+with every monomial of degree d in n variables and seeded rational
+coefficients; the wide row is the three-term quadratic
+x1^2 - 3*x1*xn + xn^2 in n = 1000 variables, whose grid streams in blocks
+of n-vectors.  Each is scanned at order r.  Prints one JSON object: per row,
+the term and point counts, the minimum CPU seconds of REPEATS scans, a
+digest of (value, argmin), and the process's peak RSS after the row, in MiB.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ ROWS = {
     "dense-quartic-n3-r450": (3, 4, 450),
     # past the split tables' budget: streamed, k = 0
     "dense-quadratic-n20-r8": (20, 2, 8),
+    # a thousand variables, two nonzero: streamed in blocks of 131 points
+    "wide-n1000-r2": (1000, 2, 2),
 }
 
 
-def dense(sx, n: int, d: int, seed: int):
+def row(sx, name: str, n: int, d: int, seed: int):
+    if name.startswith("wide"):
+        return sx.parse_polynomial(f"x1^2 - 3*x1*x{n} + x{n}^2", n)
     rng = Random(seed)
     terms = {beta: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for beta in sx.compositions(n, d)}
     return sx.HomogeneousPolynomial(n, d, terms)
@@ -50,7 +56,7 @@ def main(argv=None) -> int:
 
     out = {}
     for name, (n, d, r) in ROWS.items():
-        f = dense(sx, n, d, seed=n * 100 + d * 10 + r)
+        f = row(sx, name, n, d, seed=n * 100 + d * 10 + r)
         best = float("inf")
         for _ in range(REPEATS):
             start = time.process_time()

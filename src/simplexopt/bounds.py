@@ -35,6 +35,7 @@ from .grid import grid_maximize, grid_minimize
 from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
+    _rat,
     coefficient_range_bounds,
     is_square_free,
     motzkin_straus,
@@ -135,10 +136,6 @@ class BoundCertificate:
         if self.ratio is not None:
             out["ratio"] = _rat(self.ratio)
         return out
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _certify(

@@ -24,7 +24,6 @@ from .bounds import (
     THEOREMS,
     BoundCertificate,
     RangeInput,
-    _rat,
     _select_theorem,
     brute_force_stable_set_number,
     coefficient_range,
@@ -37,6 +36,7 @@ from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
     ParseError,
+    _rat,
     evaluate,
     parse_graph,
     parse_polynomial,

@@ -69,21 +69,10 @@ def falling_factorial(r: int, d: int) -> int:
 
 # Stirling numbers of the second kind, built bottom-up via
 # S(b+1, a) = S(b, a-1) + a*S(b, a), with S(0,0)=1, S(b,0)=0 for b>=1.
-# Rows grow on demand; growth is serialized, lookups are read-only.
+# Rows grow on demand; growth is serialized, lookups of an existing row are
+# read-only and take no lock.
 _stirling_rows: list[list[int]] = [[1]]
 _stirling_lock = threading.Lock()
-
-
-def _extend_stirling(b: int) -> None:
-    with _stirling_lock:
-        while len(_stirling_rows) <= b:
-            m = len(_stirling_rows)
-            prev = _stirling_rows[-1]
-            row = [0] * (m + 1)
-            for a in range(1, m + 1):
-                below = prev[a] if a < len(prev) else 0
-                row[a] = prev[a - 1] + a * below
-            _stirling_rows.append(row)
 
 
 def stirling2(b: int, a: int) -> int:
@@ -92,7 +81,16 @@ def stirling2(b: int, a: int) -> int:
         raise ValueError(f"arguments must be nonnegative, got ({b}, {a})")
     if a > b:
         return 0
-    _extend_stirling(b)
+    if b >= len(_stirling_rows):
+        with _stirling_lock:
+            while len(_stirling_rows) <= b:
+                m = len(_stirling_rows)
+                prev = _stirling_rows[-1]
+                row = [0] * (m + 1)
+                for j in range(1, m + 1):
+                    below = prev[j] if j < len(prev) else 0
+                    row[j] = prev[j - 1] + j * below
+                _stirling_rows.append(row)
     return _stirling_rows[b][a]
 
 

@@ -155,47 +155,26 @@ def _closed_form(out: np.ndarray, s: int, c: int, anti: np.ndarray) -> None:
         out[1] = s - out[0]
 
 
-def _suffix_table(tables: dict, anti: np.ndarray, m: int, s: int) -> np.ndarray:
-    """The (m, C(s+m-1, s)) array of every composition of s into m parts,
-    one per column, in lexicographic order: those with first part 0 are the
-    (m-1, s) table behind a 0, the rest the (m, s-1) table with the first
-    part raised by one.  Tables built so are memoised in tables."""
-    table = tables.get((m, s))
-    if table is None:
-        table = np.empty((m, comb(s + m - 1, s)), anti.dtype)
-        if s <= 1 or m <= 2:
-            _closed_form(table, s, 0, anti)
-            return table
-        zero_first = _suffix_table(tables, anti, m - 1, s)
-        w = zero_first.shape[1]
-        table[0, :w] = 0
-        table[1:, :w] = zero_first
-        table[:, w:] = _suffix_table(tables, anti, m, s - 1)
-        table[0, w:] += 1
-        tables[m, s] = table
-    return table
-
-
 def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
     """Yield the order-r grid as (n, rows) arrays of index vectors, one
     vector per column, in ascending lexicographic order, in the smallest
-    integer dtype that holds r.  No block has more than _BLOCK_ROWS columns
-    or more than _BLOCK_CELLS entries.
+    integer dtype that holds r; every block but the last has
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n)) columns.
 
-    A block is stitched from pieces "fixed prefix + every composition of the
-    remaining total over the remaining slots"; the suffix tables are
-    memoised for this scan only and dropped when the generator finishes.  A
-    piece wider than a block is split by its next entry, except a piece with
-    a closed form, which is written across as many blocks as it fills.
+    Each piece, a fixed prefix over every composition of the remaining
+    total s into the remaining m slots, is written a slice of columns at a
+    time across the blocks it fills: a closed form if s <= 1 or m <= 2, else
+    the total-s columns of _by_total's m-slot table, kept for this scan while
+    the tables held, plus 4x a new one for its build, fit _BLOCK_CELLS.  A
+    piece whose table would not fit is split by its next entry.
     """
     dtype = np.min_scalar_type(r)
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
-    tables: dict = {}
+    tables: dict[int, np.ndarray] = {}
     # a total-1 piece is never written more than min(n, rows) columns at once
     anti = np.eye(min(n, rows), dtype=dtype)[::-1]
     prefix = np.zeros(n, dtype)
-    block = np.empty((n, rows), dtype)
-    filled = 0
+    block, filled = np.empty((n, rows), dtype), 0
     # depth-first over prefixes, smallest first; an entry (k, v, m, s) is the
     # prefix of length k that ends in v, with total s left over m slots
     stack = [(0, 0, n, r)]
@@ -203,36 +182,29 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
         k, v, m, s = stack.pop()
         if k:
             prefix[k - 1] = v
-        width = comb(s + m - 1, s)
-        if width <= rows:
-            if filled + width > rows:
-                yield block[:, :filled]
-                block = np.empty((n, rows), dtype)
-                filled = 0
-            end = filled + width
-            block[:k, filled:end] = prefix[:k, None]
-            if s <= 1 or m <= 2:
-                _closed_form(block[k:, filled:end], s, 0, anti)
-            else:
-                block[k:, filled:end] = _suffix_table(tables, anti, m, s)
-            filled = end
-        elif s <= 1 or m <= 2:
-            # a wide closed form fills this block and then whole blocks, a
-            # slice of columns at a time
-            c = 0
-            while c < width:
-                if filled == rows:
-                    yield block
-                    block = np.empty((n, rows), dtype)
-                    filled = 0
-                cols = min(width - c, rows - filled)
-                piece = block[:, filled : filled + cols]
-                piece[:k] = prefix[:k, None]
+        width, table = comb(s + m - 1, s), None
+        if s > 1 and m > 2:
+            end = comb(s + m, m)
+            table = tables.get(m)
+            if table is None or table.shape[1] < end:
+                if sum(t.size for t in tables.values()) + 4 * m * end > _BLOCK_CELLS:
+                    stack.extend((k + 1, u, m - 1, s - u) for u in range(s, -1, -1))
+                    continue
+                table = tables[m] = _by_total(1, m, s, dtype)[1]
+            table = table[:, end - width : end]
+        c = 0
+        while c < width:
+            if filled == rows:
+                yield block
+                block, filled = np.empty((n, rows), dtype), 0
+            cols = min(width - c, rows - filled)
+            piece = block[:, filled : filled + cols]
+            piece[:k] = prefix[:k, None]
+            if table is None:
                 _closed_form(piece[k:], s, c, anti)
-                filled += cols
-                c += cols
-        else:
-            stack.extend((k + 1, u, m - 1, s - u) for u in range(s, -1, -1))
+            else:
+                piece[k:] = table[:, c : c + cols]
+            filled, c = filled + cols, c + cols
     yield block[:, :filled]
 
 

@@ -17,6 +17,7 @@ are safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -329,8 +330,20 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join([first] + parts[1:])
 
 
+def _format_int(n: int) -> str:
+    """n in decimal; unlike str(n), str(Decimal(n)) has no limit on digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _rat(v: Fraction) -> str:
+    return f"{_format_int(v.numerator)}/{_format_int(v.denominator)}"
+
+
 def _format_rational(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return _format_int(v.numerator) if v.denominator == 1 else _rat(v)
 
 
 # ---------------------------------------------------------------------------

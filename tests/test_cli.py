@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -52,6 +53,21 @@ class TestGridMin:
             capsys, "grid-min", "x1^2 + x2^2", "--n", "2", "--r", "3", "--max"
         )
         assert code == 0 and payload["value"] == "1/1" and payload["mode"] == "max"
+
+    def test_values_past_the_int_string_digit_limit(self, capsys):
+        # the grid value's denominator has about 4,400 digits, past the
+        # 4,300 that str(int) writes by default; the printed value is still
+        # exact, read back through Decimal, which has no such limit
+        b1, b3 = 10**2200 + 1, 10**2200 + 3
+        text = f"1/{b1}*x1^2 + 1/{b3}*x2^2"
+        exact = min(Fraction(1, b1), (Fraction(1, b1) + Fraction(1, b3)) / 4, Fraction(1, b3))
+        parse = lambda value: Fraction(*(Fraction(Decimal(part)) for part in value.split("/")))
+        code, payload, _ = run_json(capsys, "grid-min", text, "--n", "2", "--r", "2")
+        assert code == 0 and parse(payload["value"]) == exact
+        code, out, _ = run(capsys, "grid-min", text, "--n", "2", "--r", "2")
+        value = next(line.split()[1] for line in out.splitlines() if line.startswith("value:"))
+        assert code == 0 and parse(value) == exact
+        assert run_json(capsys, "bound", text, "--n", "2", "--r", "2")[0] == 0
 
     def test_json_is_byte_stable(self, capsys):
         _, first, _ = run(capsys, "grid-min", EXAMPLE_QUADRATIC, "--n", "2", "--r", "2", "--json")

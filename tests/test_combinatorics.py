@@ -84,6 +84,24 @@ class TestStirling:
             for a in range(0, b + 1):
                 assert stirling2(b, a) == brute_partition_count(b, a)
 
+    def test_existing_rows_are_read_without_the_lock(self, monkeypatch):
+        acquired = []
+
+        class Recording:
+            def __enter__(self):
+                acquired.append(True)
+
+            def __exit__(self, *exc):
+                return False
+
+        stirling2(12, 4)
+        monkeypatch.setattr(combinatorics, "_stirling_lock", Recording())
+        assert stirling2(12, 4) == 611501 and stirling2(7, 3) == 301
+        assert not acquired
+        # a new row still grows under the lock
+        new = len(combinatorics._stirling_rows)
+        assert stirling2(new, new) == 1 and acquired
+
 
 class TestMultinomial:
     @pytest.mark.parametrize(

@@ -276,22 +276,23 @@ def general_polynomials(draw):
 
 
 def spy_table_lookups(monkeypatch):
-    """Record (m, s) for every whole suffix table written, built or in
-    closed form; a wide piece written a slice at a time records nothing."""
+    """Record (m, s) for every table the stream builds, of every m-vector of
+    total at most s, and for every whole piece written in closed form; a
+    wide piece written a slice at a time records nothing."""
     requested = []
-    closed_form, suffix_table = grid_module._closed_form, grid_module._suffix_table
+    closed_form, by_total = grid_module._closed_form, grid_module._by_total
 
     def closed_spy(out, s, c, anti):
         if out.shape[1] == comb(s + len(out) - 1, s):
             requested.append((len(out), s))
         closed_form(out, s, c, anti)
 
-    def table_spy(tables, anti, m, s):
-        requested.append((m, s))
-        return suffix_table(tables, anti, m, s)
+    def table_spy(k, m, r, dtype):
+        requested.append((m, r))
+        return by_total(k, m, r, dtype)
 
     monkeypatch.setattr(grid_module, "_closed_form", closed_spy)
-    monkeypatch.setattr(grid_module, "_suffix_table", table_spy)
+    monkeypatch.setattr(grid_module, "_by_total", table_spy)
     return requested
 
 
@@ -319,6 +320,9 @@ class TestBlockKernel:
     def test_blocks_enumerate_the_grid_in_order(self, n, r):
         blocks = list(_grid_blocks(n, r))
         assert all(1 <= b.shape[1] <= _BLOCK_ROWS and b.size <= _BLOCK_CELLS for b in blocks)
+        # every block but the last is full
+        rows = min(_BLOCK_ROWS, _BLOCK_CELLS // n)
+        assert all(b.shape[1] == rows for b in blocks[:-1])
         columns = (tuple(col) for b in blocks for col in b.T.tolist())
         assert all(a == b for a, b in zip_longest(columns, enumerate_grid(n, r)))
 
@@ -377,12 +381,13 @@ class TestBlockKernel:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 8), r=st.integers(0, 12), block_rows=st.sampled_from([1, 2, 3, 7, 64]))
     def test_blocks_match_enumeration_at_any_block_size(self, n, r, block_rows):
-        # narrow blocks send pieces down every path: memoised tables, closed
-        # forms, splits and slices of wide closed forms
+        # narrow blocks send pieces down every path: tables, closed forms
+        # and splits, each written across as many blocks as it fills
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
             blocks = list(_grid_blocks(n, r))
         assert all(1 <= b.shape[1] <= block_rows and b.size <= _BLOCK_CELLS for b in blocks)
+        assert all(b.shape[1] == min(block_rows, _BLOCK_CELLS // n) for b in blocks[:-1])
         columns = [tuple(col) for b in blocks for col in b.T.tolist()]
         assert columns == list(enumerate_grid(n, r))
 
@@ -415,8 +420,8 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n, r", [(1100, 1), (400, 2), (2, 1000), (45, 6)])
     def test_wide_grids_stream_in_bounded_memory(self, n, r):
         # a table for many parts and a small total, e.g. (m, 1) with m^2
-        # entries, is never built; (45, 6) memoises about 0.6 MB of tables,
-        # as much as any grid a scan accepts
+        # entries, is never built, and the tables a scan holds, with the
+        # arrays that build the next one, fit _BLOCK_CELLS entries
         tracemalloc.start()
         try:
             points = sum(b.shape[1] for b in _grid_blocks(n, r))
@@ -749,24 +754,29 @@ class TestSplitKernel:
     def test_split_tables_stay_within_their_budget(self, monkeypatch, n, r):
         # the head table is kept while the tail table is built; the two,
         # with the arrays that build them, fit _TABLE_CELLS entries, and a
-        # split whose tables would not fit streams instead
+        # split whose tables would not fit streams instead.  The stream's
+        # tables, each build with the tables held before it, fit
+        # _BLOCK_CELLS entries
         f = parse_polynomial(f"x1^2 - 3*x1*x{n} + x{n}^2", n)
-        by_total, peaks = grid_module._by_total, []
+        by_total, peaks, held = grid_module._by_total, [], {}
 
         def measured(k, m, r, dtype):
             tracemalloc.start()
-            tables = by_total(k, m, r, dtype)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            try:
+                tables = by_total(k, m, r, dtype)
+                peaks.append(sum(held.values()) + tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            held[m] = tables[1].nbytes
             return tables
 
         monkeypatch.setattr(grid_module, "_by_total", measured)
         kernel = _Kernel(f, r)
-        try:
-            next(kernel.chunks())
-        finally:
-            tracemalloc.stop()
+        for _ in kernel.chunks():
+            pass
         assert (kernel.k > 0) == (n != 80)
-        assert len(peaks) == (1 if kernel.k else 0)
+        assert len(peaks) == 1 if kernel.k else len(peaks) >= 1
         itemsize = np.dtype(np.min_scalar_type(r)).itemsize
-        assert max(peaks, default=0) <= grid_module._TABLE_CELLS * itemsize
+        budget = grid_module._TABLE_CELLS if kernel.k else _BLOCK_CELLS
+        assert max(peaks) <= budget * itemsize
 
