@@ -14,9 +14,14 @@ of pairs the change won; the `job_cpu_tail_s` entry also lists each side's
 tail percentiles.  `job_cpu_tail_s` is the p95 job of a run below 10,000
 timed jobs and the p99.9 job at 10,000 or more, so a pair whose two runs
 take different percentiles compares different jobs: each such pair prints
-a warning line to standard error.  A run that exits non-zero, or whose last
-two lines are not its provenance and result, stops the script with the
-workload, seed, side, exit code and the end of the run's standard error.
+a warning line to standard error.  After each workload, one verdict line per
+end-to-end metric of BENCHMARK.json goes to standard error, and into that
+metric's summary entry: both medians, the relative change of the medians,
+the pairs the change won, the parent's interquartile range, and whether the
+change is worse than the parent by more than the metric's `bound`.  A run
+that exits non-zero, or whose last two lines are not its provenance and
+result, stops the script with the workload, seed, side, exit code and the
+end of the run's standard error.
 """
 
 from __future__ import annotations
@@ -66,6 +71,24 @@ def summary(pairs: list[dict]) -> dict:
     return out
 
 
+def verdict(workload: str, pairs: list[dict], stats: dict, end_to_end: list[dict]) -> None:
+    """Add each end-to-end metric's verdict to its entry in stats and print
+    it to standard error, one line a metric."""
+    for metric in end_to_end:
+        name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+        entry = stats[name]
+        parent, change = entry["parent_median"], entry["change_median"]
+        relative = (change - parent) / parent if parent else 0.0
+        sides = [(q["parent"]["metrics"][name], q["change"]["metrics"][name]) for q in pairs]
+        won = sum((c < p) if lower else (c > p) for p, c in sides)
+        iqr = entry["parent_quartiles"][1] - entry["parent_quartiles"][0]
+        worse = (relative if lower else -relative) > bound
+        entry["verdict"] = {"relative_change": relative, "change_won_in": won, "parent_iqr": iqr, "bound": bound, "worse_past_bound": worse}
+        print(f"{workload} {name}: parent {parent:.6g}, change {change:.6g} ({relative:+.2%}), change better in "
+              f"{won}/{len(pairs)}, parent IQR {iqr:.3g}, {'WORSE than' if worse else 'within'} the {bound:.0%} bound",
+              file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -74,7 +97,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default="scan,bernstein")
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
-    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
+    benchmark = json.loads(BENCHMARK.read_text())
+    seconds = benchmark["run_seconds"]
     result = {"seconds": seconds, "workloads": {}}
     for w, workload in enumerate(args.workloads.split(",")):
         pairs = []
@@ -90,7 +114,9 @@ def main(argv=None) -> int:
                 print(f"warning: {workload} seed {seed}: job_cpu_tail_s compares the parent's p{tails[0]} job "
                       f"with the change's p{tails[1]} job", file=sys.stderr)
             print(json.dumps({workload: pair}), flush=True)
-        result["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+        stats = summary(pairs)
+        verdict(workload, pairs, stats, benchmark["end_to_end"])
+        result["workloads"][workload] = {"pairs": pairs, "summary": stats}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

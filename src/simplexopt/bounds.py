@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinatorics import falling_factorial
-from .grid import MAX_GRID_POINTS, GridMinimum, GridPoint, _require_order, _size_within
+from .grid import MAX_GRID_POINTS, GridMinimum, GridPoint, _require_order
 from .grid import grid_maximize, grid_minimize
 from .polynomial import (
     GeneralPolynomial,
@@ -176,10 +176,7 @@ def _refute_exact_range(f: HomogeneousPolynomial, rng: RangeInput, grid_value: F
     contradicts: the true minimum lies between the Bernstein-coefficient low
     and the grid value, and the true maximum between the largest vertex value
     f(e_i) and the coefficient high."""
-    if f.d >= 1:
-        low, high = coefficient_range_bounds(f)
-    else:
-        low = high = f.coefficient((0,) * f.n)
+    low, high = coefficient_range_bounds(f)
     vertex = _largest_vertex_value(f)
     if not low <= rng.lower <= grid_value:
         raise ValueError(
@@ -324,30 +321,28 @@ def _select_theorem(f: HomogeneousPolynomial) -> str:
 
 def min_grid_order(d: int, epsilon: Fraction, theorem: str) -> int:
     """Smallest grid order, at least the family's minimum, whose relative
-    factor in THEOREMS is <= epsilon."""
+    factor in THEOREMS is <= epsilon: a doubling search from the minimum,
+    capped at MAX_GRID_POINTS, then bisection.  An accuracy that no order up
+    to MAX_GRID_POINTS meets is refused, since no larger order has a grid a
+    scan accepts in two or more variables."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"accuracy must be positive, got {epsilon}")
     if theorem not in THEOREMS:
         raise ValueError(f"unknown bound family {theorem!r}")
     entry = THEOREMS[theorem]
-    return _smallest_admissible(
-        lambda r: entry.factor(r, d) <= epsilon, entry.minimum, first_guess=max(2, 2 * d)
-    )
-
-
-def _smallest_admissible(ok, minimum: int, first_guess: int) -> int:
-    """Least r >= minimum with ok(r), for a predicate that is monotone
-    (False then True) in r: doubling search then bisection."""
-    if ok(minimum):
-        return minimum
-    hi = first_guess if first_guess > minimum else 2 * minimum
-    while not ok(hi):
-        hi *= 2
-    lo = minimum
+    # the factor is non-increasing in r, so the least order lies in (lo, hi]
+    lo, hi = entry.minimum - 1, entry.minimum
+    while entry.factor(hi, d) > epsilon:
+        if hi >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"accuracy {epsilon} needs a grid order above {MAX_GRID_POINTS}, whose grid in two or more "
+                f"variables has more than {MAX_GRID_POINTS} points, the most a scan accepts"
+            )
+        lo, hi = hi, min(2 * hi, MAX_GRID_POINTS)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if entry.factor(mid, d) <= epsilon:
             hi = mid
         else:
             lo = mid
@@ -365,29 +360,16 @@ def ptas_approximate(
 
     With an exact range the returned value is guaranteed within
     epsilon * (upper - lower) of the true minimum.  An accuracy that needs
-    a grid larger than a scan accepts is refused before the order search.
+    an order above MAX_GRID_POINTS is refused by min_grid_order, and a grid
+    larger than a scan accepts by grid_minimize, before any scan work.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
         raise ValueError(f"accuracy must lie in (0, 1], got {epsilon}")
     chosen = _select_theorem(f)
-    if rng is None:
-        if f.d >= 1:
-            rng = coefficient_range(f)
-        else:
-            value = f.coefficient((0,) * f.n)
-            rng = exact_range(value, value)
-    # the largest order, at most MAX_GRID_POINTS, whose grid a scan accepts
-    too_big = lambda r: r > MAX_GRID_POINTS or _size_within(f.n, r, MAX_GRID_POINTS) is None
-    top = _smallest_admissible(too_big, 1, first_guess=2) - 1
-    entry = THEOREMS[chosen]
-    if top < entry.minimum or entry.factor(top, f.d) > epsilon:
-        raise ValueError(
-            f"accuracy {epsilon} needs a grid order above {top}, the largest the PTAS scans in {f.n} "
-            f"variables: its grid has at most {MAX_GRID_POINTS} points, the most a scan accepts"
-        )
     r = min_grid_order(f.d, epsilon, chosen)
     gm = grid_minimize(f, r)
+    rng = coefficient_range(f) if rng is None else rng
     cert = THEOREMS[chosen].certificates(f, r, rng, grid_result=gm)[0]
     return gm.argmin, gm.value, cert
 

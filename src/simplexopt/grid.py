@@ -165,8 +165,9 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
     total s into the remaining m slots, is written a slice of columns at a
     time across the blocks it fills: a closed form if s <= 1 or m <= 2, else
     the total-s columns of _by_total's m-slot table, kept for this scan while
-    the tables held, plus 4x a new one for its build, fit _BLOCK_CELLS.  A
-    piece whose table would not fit is split by its next entry.
+    the tables held, plus 4x a new one and 4096 entries for its build, fit
+    _BLOCK_CELLS.  A piece whose table would not fit is split by its next
+    entry.
     """
     dtype = np.min_scalar_type(r)
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
@@ -187,7 +188,8 @@ def _grid_blocks(n: int, r: int) -> Iterator[np.ndarray]:
             end = comb(s + m, m)
             table = tables.get(m)
             if table is None or table.shape[1] < end:
-                if sum(t.size for t in tables.values()) + 4 * m * end > _BLOCK_CELLS:
+                # a build's views and lists take up to ~2 KiB whatever its size
+                if sum(t.size for t in tables.values()) + 4 * m * end + 4096 > _BLOCK_CELLS:
                     stack.extend((k + 1, u, m - 1, s - u) for u in range(s, -1, -1))
                     continue
                 table = tables[m] = _by_total(1, m, s, dtype)[1]
@@ -451,24 +453,14 @@ def _require_order(r: int, minimum: int = 1) -> None:
         raise ValueError(f"grid order must be an integer >= {minimum}, got {r!r}")
 
 
-def _size_within(n: int, r: int, limit: int) -> int | None:
-    """grid_size(n, r) if at most limit and its n * grid_size(n, r) entries
-    at most MAX_GRID_ENTRIES, else None.  C(n+r-1, r) is at least
-    2^min(n-1, r), so a large min(n-1, r) needs no huge binomial."""
-    limit = min(limit, MAX_GRID_ENTRIES // n)
-    if min(n - 1, r) >= limit.bit_length() or grid_size(n, r) > limit:
-        return None
-    return grid_size(n, r)
-
-
 def _require_grid(n: int, r: int, limit: int, walk: str) -> int:
     """Size of the order-r grid in n variables; refuses an order below 1, more
     than limit points or more than MAX_GRID_ENTRIES entries.  Every grid walk
     calls this before any work."""
     _require_order(r)
-    size = _size_within(n, r, limit)
-    if size is None:
-        cap = min(limit, MAX_GRID_ENTRIES // n)
+    cap = min(limit, MAX_GRID_ENTRIES // n)
+    # C(n+r-1, r) is at least 2^min(n-1, r), so a large min(n-1, r) needs no huge binomial
+    if min(n - 1, r) >= cap.bit_length() or (size := grid_size(n, r)) > cap:
         raise ValueError(f"the order-{r} grid in {n} variables has more than {cap} points, the most {walk} accepts: {limit} points and {MAX_GRID_ENTRIES} entries in all")
     return size
 

@@ -399,9 +399,9 @@ def coefficient_range_bounds(f: HomogeneousPolynomial) -> tuple[Fraction, Fracti
     coefficient 0.  Every value of f on the simplex is a convex combination
     of these coefficients, so low <= min f <= max f <= high there.  The
     coefficient f_beta * beta!/d! is num_beta * beta! over cden * d!, so the
-    range is taken over those integer numerators."""
-    if f.d < 1:
-        raise ValueError(f"degree must be >= 1, got {f.d}")
+    range is taken over those integer numerators.  At degree 0 the only
+    coefficient is the constant c, so the range is (c, c), and (0, 0) for the
+    zero form."""
     cden, d, numerators = f._integer_form
     values = [c * prod(map(factorial, beta)) for beta, c in zip(f.terms, numerators)]
     if len(f.terms) < comb(f.n + f.d - 1, f.d):

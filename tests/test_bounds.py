@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import time
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,7 @@ from simplexopt import (
     sum_of_powers_grid_min,
 )
 from simplexopt import bounds as bounds_module, grid as grid_module
+from simplexopt.grid import MAX_GRID_POINTS
 from conftest import homogeneous_polynomials, random_polynomial
 
 F = Fraction
@@ -256,6 +260,21 @@ class TestMinGridOrder:
         with pytest.raises(ValueError):
             min_grid_order(2, F(1, 2), "sharpest")
 
+    @pytest.mark.parametrize(
+        "name, d", [("general", 4), ("general", 200), ("squarefree", 200), ("cubic", 3), ("quadratic", 2)]
+    )
+    @pytest.mark.parametrize("exponent", [9, 3000])
+    def test_refuses_orders_above_the_grid_limit_at_once(self, name, d, exponent):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"above {MAX_GRID_POINTS}.*points"):
+            min_grid_order(d, F(1, 10**exponent), name)
+        assert time.process_time() - start < 1
+
+    def test_largest_order_is_the_grid_limit(self):
+        assert min_grid_order(2, F(1, MAX_GRID_POINTS), "quadratic") == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            min_grid_order(2, F(1, MAX_GRID_POINTS + 1), "quadratic")
+
 
 class TestPtasApproximate:
     def test_sum_of_squares(self):
@@ -290,18 +309,30 @@ class TestPtasApproximate:
         _, _, cert = ptas_approximate(sum_of_squares(2), F(1, 14))
         assert cert.r == 14
 
-        def no_search(*args):
-            raise AssertionError("the order search ran for a refused accuracy")
+        def count_factors(name):
+            calls = []
+            entry = bounds_module.THEOREMS[name]
+            counted = lambda r, d: calls.append(r) or entry.factor(r, d)
+            monkeypatch.setitem(bounds_module.THEOREMS, name, dataclasses.replace(entry, factor=counted))
+            return calls
 
-        monkeypatch.setattr(bounds_module, "min_grid_order", no_search)
+        # the order search is capped at MAX_GRID_POINTS: doubling, then bisection
+        calls = count_factors("quadratic")
         with pytest.raises(ValueError, match="15 points"):
             ptas_approximate(sum_of_squares(2), F(1, 15))
+        assert 0 < len(calls) <= 2 * ceil(log2(15)) + 2 and max(calls) <= 15
         monkeypatch.undo()
-        monkeypatch.setattr(bounds_module, "min_grid_order", no_search)
+        calls = count_factors("general")
         # the general family at d = 100 needs an order of hundreds of digits
         with pytest.raises(ValueError, match="points") as err:
             ptas_approximate(parse_polynomial("x1^100 + x2^100", 2), F(1, 2))
         assert all(len(word) < 20 for word in str(err.value).split())  # no huge order
+        assert len(calls) <= 2 * ceil(log2(MAX_GRID_POINTS)) + 2 and max(calls) == MAX_GRID_POINTS
+
+    def test_constant_polynomial_takes_its_coefficient_range(self):
+        _, value, cert = ptas_approximate(parse_polynomial("5", 2), F(1, 3))
+        assert value == 5 and cert.gap == 0 and cert.satisfied
+        assert cert.range == RangeInput(F(5), F(5), "bernstein_coefficient_range")
 
     def test_accuracy_guarantee_on_known_families(self):
         # (polynomial, true min, true max, accuracy target)

@@ -191,6 +191,23 @@ class TestBound:
         )
         assert code == 3 and out == "" and "refuted" in err
 
+    def test_constant_polynomial(self, capsys):
+        code, payload, _ = run_json(capsys, "bound", "5", "--n", "2", "--r", "3")
+        assert code == 0
+        cert = payload["certificates"][0]
+        assert cert["range"]["lower"] == cert["range"]["upper"] == cert["grid_value"] == "5/1"
+        assert cert["gap"] == "0/1" and cert["satisfied"] is True
+
+    def test_text_prints_the_ratio_of_an_exact_range(self, capsys):
+        code, out, _ = run(capsys, "bound", "x1^2 + x2^2", "--n", "2", "--r", "3", "--range", "1/2,1")
+        assert code == 0 and "ratio:       1/9 (0.111111)" in out.splitlines()
+
+    def test_text_separates_two_certificates_by_one_blank_line(self, capsys):
+        code, out, _ = run(capsys, "bound", "x1^4 + x2^4", "--n", "2", "--r", "3")
+        first, second = out.split("\n\n")
+        assert code == 0 and first.startswith("theorem:     general\n")
+        assert second.startswith("theorem:     general_coefficient_range\n") and second.endswith("True\n")
+
     def test_inapplicable_theorem_exit_code(self, capsys):
         code, _, err = run(
             capsys, "bound", "x1^3 + x2^3", "--n", "2", "--r", "3", "--theorem", "quad"
@@ -325,6 +342,28 @@ class TestStableSet:
         graph.write_text("p 2 1\ne 1 ²\n", encoding="utf-8")
         code, _, err = run(capsys, "stable-set", str(graph), "--r", "2")
         assert code == 2 and "unreadable vertex number" in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv, graph, fragment",
+        [
+            (["moments", "--n", "2", "--r", "3", "--beta", "1,a", "--x", "1/3,2/3"], None, "cannot parse moment order"),
+            (["bound", "x1^2 + x2^2", "--n", "2", "--r", "3", "--range", "1,2,3"], None, "--range expects 'L,U'"),
+            (["grid-min", "x1^", "--n", "2", "--r", "2"], None, "expected positive exponent"),
+            (["grid-min", "2/", "--n", "2", "--r", "2"], None, "expected positive denominator"),
+            (["grid-min", "x", "--n", "2", "--r", "2"], None, "expected variable index"),
+            (["stable-set", "{graph}", "--r", "2"], "p 2 1\np 2 1\ne 1 2\n", "duplicate 'p' header"),
+            (["stable-set", "{graph}", "--r", "2"], "p 0 0\n", "at least one vertex"),
+            (["stable-set", "{graph}", "--r", "2"], "p x y\n", "header must read"),
+            (["stable-set", "{graph}", "--r", "2"], "p 2 1\ne 1\n", "edge line must read"),
+        ],
+    )
+    def test_exits_two(self, capsys, tmp_path, argv, graph, fragment):
+        if graph is not None:
+            (tmp_path / "g.dimacs").write_text(graph, encoding="utf-8")
+        code, out, err = run(capsys, *[str(tmp_path / "g.dimacs") if a == "{graph}" else a for a in argv])
+        assert code == 2 and out == "" and fragment in err
 
 
 class TestTextMode:

@@ -206,3 +206,17 @@ class TestIdentities:
     def test_stirling_split_requires_larger_degree(self):
         with pytest.raises(ValueError):
             check_identity_stirling_split((1, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: stirling2(-1, 0), "must be nonnegative"),
+        (lambda: multinomial(2, (3, -1)), "must be nonnegative"),
+        (lambda: check_identity_falling_sum(0, 1), "need d >= 1"),
+    ],
+    ids=["stirling2", "multinomial", "falling_sum"],
+)
+def test_invalid_arguments_are_refused(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

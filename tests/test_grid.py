@@ -95,6 +95,19 @@ class TestGridPoint:
             GridPoint((0,), 0)
 
 
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: GridPoint((1.5, 0.5), 2), "nonnegative integers"),
+        (lambda: sum_of_powers_grid_min(0, 1, 1), "need n, r, d >= 1"),
+    ],
+    ids=["GridPoint", "sum_of_powers_grid_min"],
+)
+def test_invalid_arguments_are_refused(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 class TestMinimize:
     def test_example_quadratic(self):
         f = parse_polynomial("2*x1^2 + x2^2 - 5*x1*x2", 2)
@@ -430,6 +443,32 @@ class TestBlockKernel:
             tracemalloc.stop()
         assert points == grid_size(n, r)
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("n, r", [(25, 6), (45, 6), (80, 3)])
+    def test_stream_table_builds_stay_within_their_charge(self, monkeypatch, n, r):
+        # a stream table's build is charged 4 entries a table entry plus
+        # 4096 for its views and lists; its peak stays within that charge,
+        # and with the tables held before it within _BLOCK_CELLS entries
+        by_total, builds, held = grid_module._by_total, [], {}
+
+        def measured(k, m, s, dtype):
+            tracemalloc.start()
+            try:
+                tables = by_total(k, m, s, dtype)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            builds.append((m, s, peak, sum(held.values())))
+            held[m] = tables[1].nbytes
+            return tables
+
+        monkeypatch.setattr(grid_module, "_by_total", measured)
+        points = sum(b.shape[1] for b in _grid_blocks(n, r))
+        assert points == grid_size(n, r) and builds
+        itemsize = np.dtype(np.min_scalar_type(r)).itemsize
+        for m, s, peak, before in builds:
+            assert peak <= (4 * m * comb(s + m, m) + 4096) * itemsize, (m, s, peak)
+            assert peak + before <= _BLOCK_CELLS * itemsize, (m, s, peak, before)
 
     def test_grids_larger_than_one_block(self, rng):
         for n, d, r in [(6, 3, 9), (5, 4, 12), (8, 2, 6)]:

@@ -313,9 +313,10 @@ class TestCoefficientRange:
         f = parse_polynomial("x1 + x2 + x3", 3)
         assert coefficient_range_bounds(f) == (F(1), F(1))
 
-    def test_requires_positive_degree(self):
-        with pytest.raises(ValueError):
-            coefficient_range_bounds(parse_polynomial("5", 2))
+    def test_degree_zero_is_the_constant(self):
+        assert coefficient_range_bounds(parse_polynomial("5", 2)) == (F(5), F(5))
+        assert coefficient_range_bounds(parse_polynomial("-3/7", 3)) == (F(-3, 7), F(-3, 7))
+        assert coefficient_range_bounds(HomogeneousPolynomial(2, 0, {})) == (F(0), F(0))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -390,6 +391,10 @@ class TestGraphParsing:
         text = "c toy graph\np 3 2\ne 1 2\ne 2 3\n"
         assert parse_graph(text) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
+    def test_standard_edge_header(self):
+        text = "c toy graph\np edge 3 2\ne 1 2\ne 2 3\n"
+        assert parse_graph(text) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
     def test_vertex_cap_is_inclusive(self):
         # the stable-set form has n + m terms of n entries each
         assert len(parse_graph("p 1000 0")) == 1000
@@ -415,6 +420,19 @@ class TestGraphParsing:
         with pytest.raises(ParseError) as err:
             parse_graph(text)
         assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: GeneralPolynomial(0, {}), "dimension must be >= 1"),
+        (lambda: motzkin_straus([]), "at least one vertex"),
+    ],
+    ids=["GeneralPolynomial", "motzkin_straus"],
+)
+def test_invalid_arguments_are_refused(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
 
 
 class TestSquareFree:
