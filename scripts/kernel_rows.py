@@ -1,4 +1,5 @@
-"""Time grid_minimize on dense rows, split and streamed, and one wide row.
+"""Time grid_minimize on dense rows, split and streamed, and one wide row,
+and evaluate on two definitional forms.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -7,9 +8,12 @@ checkouts can be compared on the same inputs.  A dense row is a polynomial
 with every monomial of degree d in n variables and seeded rational
 coefficients; the wide row is the three-term quadratic
 x1^2 - 3*x1*xn + xn^2 in n = 1000 variables, whose grid streams in blocks
-of n-vectors.  Each is scanned at order r.  Prints one JSON object: per row,
-the term and point counts, the minimum CPU seconds of REPEATS scans, a
-digest of (value, argmin), and the process's peak RSS after the row, in MiB.
+of n-vectors.  Each is scanned at order r.  An evaluate row builds the
+order-r definitional Bernstein form of a dense row and evaluates it at
+EVAL_POINTS seeded points of the order-37 grid.  Prints one JSON object:
+per row, the term and point counts, the minimum CPU seconds of REPEATS
+scans or evaluation sweeps, a digest of (value, argmin) or of the values,
+and the process's peak RSS after the row, in MiB.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ ROWS = {
     # a thousand variables, two nonzero: streamed in blocks of 131 points
     "wide-n1000-r2": (1000, 2, 2),
 }
+EVAL_POINTS = 10
+EVAL_ROWS = {
+    # 1,286 terms; 37^8 < 2^63, so evaluate runs on int64
+    "evaluate-def-cubic-n6-r8": (6, 3, 8),
+    # 231 terms; 37^20 > 2^63, so evaluate runs on Python ints
+    "evaluate-def-cubic-n3-r20": (3, 3, 20),
+}
 
 
 def row(sx, name: str, n: int, d: int, seed: int):
@@ -54,18 +65,28 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import simplexopt as sx
 
-    out = {}
-    for name, (n, d, r) in ROWS.items():
-        f = row(sx, name, n, d, seed=n * 100 + d * 10 + r)
+    def best_of(call):
         best = float("inf")
         for _ in range(REPEATS):
             start = time.process_time()
-            result = sx.grid_minimize(f, r)
+            result = call()
             best = min(best, time.process_time() - start)
-        digest = hashlib.sha256(f"{result.value}:{result.argmin.alpha}".encode()).hexdigest()[:16]
+        return best, result
+
+    out = {}
+    for name, (n, d, r) in {**ROWS, **EVAL_ROWS}.items():
+        f = row(sx, name, n, d, seed=n * 100 + d * 10 + r)
+        if name in EVAL_ROWS:
+            f = sx.bernstein_definitional(f, r).homogeneous
+            xs = sx.sample_grid_points(n, EVAL_POINTS, Random(r))
+            best, values = best_of(lambda: [sx.evaluate(f, x) for x in xs])
+            points, text = len(xs), ",".join(map(str, values))
+        else:
+            best, result = best_of(lambda: sx.grid_minimize(f, r))
+            points, text = result.evaluations, f"{result.value}:{result.argmin.alpha}"
         out[name] = {
-            "n": n, "d": d, "r": r, "terms": len(f.terms), "points": result.evaluations,
-            "cpu_s": round(best, 4), "result": digest,
+            "n": n, "d": d, "r": r, "terms": len(f.terms), "points": points,
+            "cpu_s": round(best, 6), "result": hashlib.sha256(text.encode()).hexdigest()[:16],
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
     print(json.dumps(out, indent=1))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from time import perf_counter
 
-from .bernstein import bernstein_closed_form, bernstein_definitional, moment_direct, moment_stirling
+from .bernstein import _check_simplex_point, bernstein_closed_form, bernstein_definitional, moment_direct, moment_stirling
 from .bounds import (
     MAX_BRUTE_VERTICES,
     THEOREMS,
@@ -153,6 +153,8 @@ def _cmd_grid_min(args: argparse.Namespace) -> int:
 def _cmd_bernstein(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial, args.n)
     point = _parse_rational_list(args.eval, "evaluation point") if args.eval else None
+    if point is not None:  # off the simplex the routes' forms differ
+        _check_simplex_point(f.n, point)
     homogeneous = reduced = None
     if args.route in ("def", "auto"):
         homogeneous = bernstein_definitional(f, args.r).homogeneous
@@ -358,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--eval",
         metavar="X",
-        help="evaluate the computed form at a rational point, e.g. '1/2,1/2' "
-        "(all routes agree on the simplex)",
+        help="evaluate the computed form at a point of the standard simplex, e.g. '1/2,1/2' "
+        "(all routes agree there; a point off it exits 3)",
     )
     cmd.set_defaults(func=_cmd_bernstein)
 

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import chain
 from math import comb, factorial, lcm, prod
-from operator import getitem, mul
+from operator import mul
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .combinatorics import MultiIndex, compositions, multinomial
 
@@ -63,8 +65,8 @@ class _SparsePolynomial:
     integer form, built on first use and kept on the instance: the least
     common denominator cden of the coefficients, the top degree dmax and the
     numerators over cden in term order; apart from them, as the grid kernel
-    never reads it, each variable's top exponent.  Instances are immutable,
-    so neither goes stale."""
+    never reads it, the power index that evaluate gathers through.
+    Instances are immutable, so neither goes stale."""
 
     def coefficient(self, beta: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(beta), Fraction(0))
@@ -80,8 +82,22 @@ class _SparsePolynomial:
         return cden, dmax, tuple(c.numerator * (cden // c.denominator) for c in coeffs)
 
     @cached_property
-    def _top_exponents(self) -> tuple[int, ...]:
-        return tuple(map(max, zip((0,) * self.n, *self.terms)))
+    def _power_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index, owner, power): entry j of a point's flat power table is
+        v_owner[j]^power[j], v = (a_1, ..., a_n, D), and column t of index
+        picks term t's factors from it, D^(dmax - |beta|) among them when the
+        degrees differ."""
+        m, n = len(self.terms), self.n
+        index = np.empty((n + 1, m), np.int64)
+        index[:n] = np.fromiter(chain.from_iterable(zip(*self.terms)), np.int64, m * n).reshape(n, m)
+        index[n] = self._integer_form[1] - index[:n].sum(axis=0)
+        if not index[n].any():
+            index = index[:n]
+        sizes = index.max(axis=1, initial=0) + 1
+        starts = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        index += starts[:, None]
+        return index, owner, np.arange(len(owner)) - starts[owner]
 
 
 @dataclass(frozen=True)
@@ -365,19 +381,18 @@ def evaluate(f: Polynomial, x: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational point.
 
     With x = a/D and f's integer form, each term contributes the integer
-    c * a^beta * D^(dmax - |beta|), read from one table of powers per
-    variable, and a single Fraction is formed at the end.
+    c * a^beta * D^(dmax - |beta|), its factors gathered from one flat table
+    of powers through the cached power index.  They are multiplied in int64
+    while max(D, max|a_i|)^max(dmax, 1) < 2^63, which bounds every entry and
+    partial product, and as Python ints otherwise; one Fraction is formed at
+    the end.
     """
     a, den = _cleared_point(f.n, x)
     cden, dmax, numerators = f._integer_form
-    powers = [list(accumulate(repeat(v, top), mul, initial=1)) for v, top in zip(a, f._top_exponents)]
-    terms = zip(numerators, f.terms)
-    if isinstance(f, HomogeneousPolynomial):  # every |beta| is dmax: no power of D to add
-        total = sum(c * prod(map(getitem, powers, beta)) for c, beta in terms)
-    else:
-        lift = list(accumulate(repeat(den, dmax), mul, initial=1))
-        total = sum(c * prod(map(getitem, powers, beta)) * lift[dmax - sum(beta)] for c, beta in terms)
-    return Fraction(total, cden * den**dmax)
+    index, owner, power = f._power_index
+    dtype = np.int64 if max(den, *map(abs, a)) ** max(dmax, 1) < 2**63 else object
+    monomials = (np.array([*a, den], dtype)[owner] ** power)[index].prod(axis=0)
+    return Fraction(sum(map(mul, numerators, monomials.tolist())), cden * den**dmax)
 
 
 # ---------------------------------------------------------------------------

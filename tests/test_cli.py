@@ -136,6 +136,13 @@ class TestBernstein:
         assert code == 0
         assert payload["eval"]["value"] == "5/8"
 
+    @pytest.mark.parametrize("route", ["def", "closed", "auto"])
+    def test_eval_off_simplex_rejected(self, capsys, route):
+        # off the simplex the definitional form reads 8/3 and the reduced one 1
+        code, out, err = run(capsys, "bernstein", "x1^2", "--n", "2", "--r", "3", "--eval", "1,1", "--route", route)
+        assert code == 3 and out == ""
+        assert err.startswith("error: point") and err.endswith("is not on the standard simplex\n")
+
     def test_auto_route_agreement(self, capsys):
         code, payload, _ = run_json(
             capsys, "bernstein", "x1^2 + x2^2 + x3^2", "--n", "3", "--r", "4"

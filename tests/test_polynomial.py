@@ -1,7 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from simplexopt import (
     sample_grid_points,
     scale,
 )
+import simplexopt.polynomial as polynomial_module
 from simplexopt.polynomial import MAX_DEGREE, MAX_TERM_ENTRIES
 from conftest import coefficients, homogeneous_polynomials, naive_evaluate, random_polynomial
 
@@ -37,6 +40,12 @@ def oracle_value(f, x) -> Fraction:
 
 def points(n):
     return st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 9)), min_size=n, max_size=n)
+
+
+def wide_points(n):
+    """Entries of either sign and past D, with numerators up to 10^6, so
+    the powers of a degree-4 form fall on both sides of evaluate's int64 gate."""
+    return st.lists(st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**3)), min_size=n, max_size=n)
 
 
 @st.composite
@@ -269,6 +278,74 @@ class TestEvaluate:
             assert p == replace(p)
             assert repr(p) == text
             assert list(p.terms.items()) == items
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_homogeneous_forms_match_naive(self, data):
+        f = data.draw(homogeneous_polynomials())
+        x = data.draw(wide_points(f.n))
+        assert evaluate(f, x) == naive_evaluate(f, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mixed_degree_forms_match_naive(self, data):
+        # terms of degree 0..3n lack up to 3n powers of D, gathered like a variable's
+        n = data.draw(st.integers(1, 4))
+        g = data.draw(general_polynomials(n))
+        x = data.draw(wide_points(n))
+        assert evaluate(g, x) == naive_evaluate(g, x)
+
+    def test_int64_gate_sits_at_2_to_63(self, monkeypatch):
+        dtypes = []
+
+        class Spy:  # polynomial's numpy, recording the dtype of each point array
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, values, dtype):
+                dtypes.append(dtype)
+                return np.array(values, dtype)
+
+        monkeypatch.setattr(polynomial_module, "np", Spy())
+        half, wide = [F(1, 2), F(1, 2)], [F(2), F(-1)]
+        for e, dtype in ((62, np.int64), (63, object)):
+            power = HomogeneousPolynomial(2, e, {(e, 0): F(1)})
+            lifted = GeneralPolynomial(2, {(e, 0): F(1), (0, 0): F(1)})  # D^e = 2^e lifts the constant
+            assert evaluate(power, half) == F(1, 2**e)
+            assert evaluate(power, wide) == 2**e
+            assert evaluate(lifted, half) == F(1, 2**e) + 1
+            assert dtypes == [dtype] * 3
+            dtypes.clear()
+
+    def test_zero_constant_and_one_variable(self):
+        far = [F(10**30, 7), F(-(10**30))]
+        assert evaluate(HomogeneousPolynomial(2, 3, {}), far) == 0
+        assert evaluate(GeneralPolynomial(2, {}), far) == 0
+        assert evaluate(HomogeneousPolynomial(2, 0, {(0, 0): F(5, 3)}), far) == F(5, 3)
+        assert evaluate(GeneralPolynomial(2, {(0, 0): F(-2)}), far) == -2
+        assert evaluate(HomogeneousPolynomial(1, 3, {(3,): F(2, 5)}), [F(7, 3)]) == F(2, 5) * F(343, 27)
+        g = GeneralPolynomial(1, {(0,): F(1), (2,): F(-1), (5,): F(10**30)})
+        assert evaluate(g, [F(-3, 2)]) == 1 - F(9, 4) - 10**30 * F(243, 32)
+
+    def test_coefficients_of_10_to_30(self):
+        big = F(10**30, 7)
+        f = HomogeneousPolynomial(3, 3, {(3, 0, 0): big, (1, 1, 1): -big, (0, 1, 2): F(1, 10**30)})
+        for x in ([F(1, 3)] * 3, [F(-4), F(9, 2), F(11, 5)]):
+            assert evaluate(f, x) == naive_evaluate(f, x)
+
+    def test_flat_power_table_stays_small(self):
+        # a rectangular table of n x (top + 1) entries would hold about 10^6 ints
+        n = 5000
+        g = GeneralPolynomial(n, {(200,) + (0,) * (n - 1): F(1), (0, 1) + (0,) * (n - 2): F(3, 7)})
+        x = [F(1, 7), F(6, 7)] + [F(0)] * (n - 2)
+        tracemalloc.start()
+        try:
+            value = evaluate(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == F(1, 7**200) + F(18, 49)
+        assert peak < 2**20
 
     def test_linearity(self, rng):
         for _ in range(30):
