@@ -1,5 +1,6 @@
 """Time grid_minimize on dense rows, split and streamed, and one wide row,
-and evaluate on two definitional forms.
+the definitional Bernstein route's build, and evaluate on two definitional
+forms.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -8,11 +9,13 @@ checkouts can be compared on the same inputs.  A dense row is a polynomial
 with every monomial of degree d in n variables and seeded rational
 coefficients; the wide row is the three-term quadratic
 x1^2 - 3*x1*xn + xn^2 in n = 1000 variables, whose grid streams in blocks
-of n-vectors.  Each is scanned at order r.  An evaluate row builds the
-order-r definitional Bernstein form of a dense row and evaluates it at
-EVAL_POINTS seeded points of the order-37 grid.  Prints one JSON object:
-per row, the term and point counts, the minimum CPU seconds of REPEATS
-scans or evaluation sweeps, a digest of (value, argmin) or of the values,
+of n-vectors.  Each is scanned at order r.  A build row times building the
+order-r definitional Bernstein form of a dense row, a term per grid point.
+An evaluate row builds that form and evaluates it at EVAL_POINTS seeded
+points of the order-37 grid.  Prints one JSON object: per row, the term and
+point counts (of the built form, for build and evaluate rows), the minimum
+CPU seconds of REPEATS scans, builds or evaluation sweeps, a digest of
+(value, argmin), of the built form's terms in term order or of the values,
 and the process's peak RSS after the row, in MiB.
 """
 
@@ -25,6 +28,7 @@ import resource
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -40,6 +44,11 @@ ROWS = {
     "dense-quadratic-n20-r8": (20, 2, 8),
     # a thousand variables, two nonzero: streamed in blocks of 131 points
     "wide-n1000-r2": (1000, 2, 2),
+}
+BUILD_ROWS = {
+    "build-def-cubic-n6-r8": (6, 3, 8),
+    # the largest grid the definitional route expands, 10,000 points
+    "build-def-quadratic-n2-r9999": (2, 2, 9999),
 }
 EVAL_POINTS = 10
 EVAL_ROWS = {
@@ -74,9 +83,14 @@ def main(argv=None) -> int:
         return best, result
 
     out = {}
-    for name, (n, d, r) in {**ROWS, **EVAL_ROWS}.items():
+    # build rows last: the grid-limit form sets the process's peak RSS
+    for name, (n, d, r) in {**ROWS, **EVAL_ROWS, **BUILD_ROWS}.items():
         f = row(sx, name, n, d, seed=n * 100 + d * 10 + r)
-        if name in EVAL_ROWS:
+        if name in BUILD_ROWS:
+            best, result = best_of(partial(sx.bernstein_definitional, f, r))
+            f = result.homogeneous
+            points, text = sx.grid_size(n, r), ";".join(f"{beta}:{c}" for beta, c in f.terms.items())
+        elif name in EVAL_ROWS:
             f = sx.bernstein_definitional(f, r).homogeneous
             xs = sx.sample_grid_points(n, EVAL_POINTS, Random(r))
             best, values = best_of(lambda: [sx.evaluate(f, x) for x in xs])

@@ -41,6 +41,7 @@ from .polynomial import (
     HomogeneousPolynomial,
     RationalLike,
     _cleared_point,
+    _format_rational,
     is_square_free,
 )
 
@@ -72,7 +73,7 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
     kernel = _Kernel(f, r)
     rows: dict[int, list[int]] = {}
-    terms = {}
+    numerators = {}
     for alphas, values in kernel.values():
         for alpha, v in zip(alphas, values):
             w, m = 1, r
@@ -81,8 +82,9 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
                     rows[m] = binomial_row(m)
                 w *= rows[m][a_i]
                 m -= a_i
-            terms[tuple(alpha)] = Fraction(v * w, kernel.denom)
-    poly = HomogeneousPolynomial(f.n, r, terms)
+            numerators[tuple(alpha)] = v * w
+    del rows  # at the grid limit the binomial rows weigh as much as the terms: free them first
+    poly = HomogeneousPolynomial._from_numerators(f.n, numerators, numerators.values(), kernel.denom, d=r)
     return BernsteinResult(homogeneous=poly, reduced=None, r=r, source=SOURCE_DEFINITIONAL)
 
 
@@ -122,8 +124,7 @@ def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     for beta, c in zip(f.terms, numerators):
         for gamma, w in _stirling_weights(beta, r):
             acc[gamma] = acc.get(gamma, 0) + c * w
-    den = cden * r**dmax
-    reduced = GeneralPolynomial(f.n, {gamma: Fraction(total, den) for gamma, total in acc.items()})
+    reduced = GeneralPolynomial._from_numerators(f.n, acc, acc.values(), cden * r**dmax)
     return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=SOURCE_CLOSED_FORM)
 
 
@@ -208,7 +209,8 @@ def _check_simplex_point(n: int, x: Sequence[RationalLike]) -> tuple[list[int], 
     """(a, D) with x = a / D; refuses a point off the standard simplex."""
     a, den = _cleared_point(n, x)
     if min(a, default=0) < 0 or sum(a) != den:
-        raise ValueError(f"point {x!r} is not on the standard simplex")
+        point = ", ".join(_format_rational(Fraction(v, den)) for v in a)
+        raise ValueError(f"point ({point}) is not on the standard simplex")
     return a, den
 
 

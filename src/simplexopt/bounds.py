@@ -432,8 +432,9 @@ def bernstein_excess_on_grid(
     (which is not computable exactly in general)."""
     reduced = bernstein_closed_form(f, r).reduced
     assert reduced is not None
-    excess = dict(reduced.terms)
-    for beta, c in f.terms.items():
-        excess[beta] = excess.get(beta, Fraction(0)) - c
-    gm = grid_maximize(GeneralPolynomial(f.n, excess), verify_order)
+    (rden, _, rnums), (fden, _, fnums) = reduced._integer_form, f._integer_form
+    excess = {beta: v * fden for beta, v in zip(reduced.terms, rnums)}
+    for beta, v in zip(f.terms, fnums):
+        excess[beta] = excess.get(beta, 0) - v * rden
+    gm = grid_maximize(GeneralPolynomial._from_numerators(f.n, excess, excess.values(), rden * fden), verify_order)
     return gm.value, gm.argmin

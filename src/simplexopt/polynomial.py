@@ -21,9 +21,9 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -61,12 +61,25 @@ def _clean_terms(terms: Mapping[MultiIndex, RationalLike], n: int) -> dict[Multi
 
 
 class _SparsePolynomial:
-    """What both polynomial classes share: coefficient lookup, and the
-    integer form, built on first use and kept on the instance: the least
-    common denominator cden of the coefficients, the top degree dmax and the
-    numerators over cden in term order; apart from them, as the grid kernel
-    never reads it, the power index that evaluate gathers through.
-    Instances are immutable, so neither goes stale."""
+    """What both polynomial classes share: coefficient lookup, the integer
+    form (the least common denominator cden of the coefficients, the top
+    degree dmax and the numerators over cden in term order), which the
+    validating public constructors build on first use and _from_numerators
+    seeds, and, as the grid kernel never reads it, the power index that
+    evaluate gathers through, built on first use.  Instances are immutable,
+    so neither goes stale."""
+
+    @classmethod
+    def _from_numerators(cls, n: int, keys: Iterable[MultiIndex], numerators: Iterable[int], den: int, **degree: int) -> Polynomial:
+        """Coefficient v / den at each key, as given: keys distinct, valid and
+        in term order, den > 0, a zero v dropped; degree is d=... if homogeneous."""
+        poly = cls(n, terms={}, **degree)
+        kept = {key: v for key, v in zip(keys, numerators) if v}
+        object.__setattr__(poly, "terms", {key: Fraction(v, den) for key, v in kept.items()})
+        g = gcd(den, *kept.values())  # v // 1 would copy every big numerator
+        reduced = tuple(v // g for v in kept.values()) if g > 1 else tuple(kept.values())
+        poly.__dict__["_integer_form"] = (den // g, poly.d if degree else poly.degree(), reduced)
+        return poly
 
     def coefficient(self, beta: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(beta), Fraction(0))

@@ -1,12 +1,14 @@
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simplexopt import (
     GeneralPolynomial,
@@ -14,8 +16,10 @@ from simplexopt import (
     bernstein_closed_form,
     bernstein_cubic,
     bernstein_definitional,
+    bernstein_excess_on_grid,
     bernstein_quadratic,
     bernstein_squarefree,
+    compositions,
     enumerate_grid,
     equal_on_simplex,
     evaluate,
@@ -30,6 +34,7 @@ from simplexopt import (
     stirling2,
 )
 from simplexopt import bernstein as bernstein_module
+from simplexopt import bounds as bounds_module
 from simplexopt.grid import MAX_EXPANDED_POINTS, _Kernel, grid_size
 from simplexopt.polynomial import MAX_DEGREE
 from conftest import homogeneous_polynomials, naive_evaluate, random_polynomial
@@ -362,6 +367,76 @@ class TestRouteAgreement:
                 assert evaluate(closed, e_i) == evaluate(f, e_i)
 
 
+def assert_as_validated(poly, reference):
+    """poly, built through the trusted constructor, equals the validating
+    constructor's polynomial on the reference terms: the same items in the
+    same order, Fraction values, and the seeded integer form equal to the one
+    a fresh instance rebuilds from its Fractions."""
+    fresh = replace(poly, terms=reference)
+    assert list(poly.terms.items()) == list(fresh.terms.items())
+    assert all(type(c) is F for c in poly.terms.values())
+    assert "_integer_form" not in fresh.__dict__
+    assert poly._integer_form == fresh._integer_form
+
+
+def closed_form_reference(f, r):
+    """B_r(f) on the simplex summed per gamma in Fractions, in the order the
+    gamma first appear."""
+    acc = {}
+    for beta, c in f.terms.items():
+        for gamma, w in bernstein_module._stirling_weights(beta, r):
+            acc[gamma] = acc.get(gamma, F(0)) + c * w / r**f.d
+    return acc
+
+
+def excess_polynomial(f, r):
+    """The polynomial B_r(f) - f that bernstein_excess_on_grid maximizes."""
+    with mock.patch.object(bounds_module, "grid_maximize", wraps=bounds_module.grid_maximize) as spy:
+        bernstein_excess_on_grid(f, r, verify_order=3)
+    return spy.call_args.args[0]
+
+
+ZERO_TOTALS = parse_polynomial("x1^2*x2 - x1*x2^2", 2)  # both monomials give gamma (1, 1) the weight r(r-1)
+NEAR_LIMB = HomogeneousPolynomial(3, 2, {(2, 0, 0): F(10**22 + 1, 3), (1, 1, 0): F(-(10**22), 7), (0, 1, 1): F(1)})
+
+
+class TestTrustedConstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(f=homogeneous_polynomials(), r=st.integers(1, 5))
+    @example(f=HomogeneousPolynomial(3, 2, {}), r=4)
+    @example(f=ZERO_TOTALS, r=3)
+    @example(f=NEAR_LIMB, r=5)
+    @example(f=parse_polynomial("3/4*x1^3", 1), r=4)
+    def test_builders_match_the_validating_constructor(self, f, r):
+        definitional = bernstein_definitional(f, r).homogeneous
+        closed = bernstein_closed_form(f, r).reduced
+        assert "_integer_form" in definitional.__dict__ and "_integer_form" in closed.__dict__
+        grid = [*definitional.terms, *compositions(f.n, r)]  # terms first, in their order
+        assert_as_validated(definitional, {alpha: naive_evaluate(f, [F(a, r) for a in alpha]) * multinomial(r, alpha) for alpha in grid})
+        reduced = closed_form_reference(f, r)
+        assert_as_validated(closed, reduced)
+        for beta, c in f.terms.items():
+            reduced[beta] = reduced.get(beta, F(0)) - c
+        assert_as_validated(excess_polynomial(f, r), reduced)
+
+    def test_zero_polynomial_keeps_its_degree(self):
+        f = HomogeneousPolynomial(3, 2, {})
+        definitional = bernstein_definitional(f, 4).homogeneous
+        assert definitional.is_zero() and definitional.d == 4
+        assert definitional._integer_form == (1, 4, ())
+        assert bernstein_closed_form(f, 4).reduced._integer_form == (1, 0, ())
+        # B_r is the identity on linear forms, so B_r(f) - f is zero
+        assert excess_polynomial(parse_polynomial("x1 - 2/3*x2", 2), 3)._integer_form == (1, 0, ())
+
+    def test_closed_form_drops_totals_that_cancel(self):
+        closed = bernstein_closed_form(ZERO_TOTALS, 3).reduced
+        assert closed.terms == {(2, 1): F(2, 9), (1, 2): F(-2, 9)}
+        assert closed._integer_form == (9, 3, (2, -2))
+
+    def test_near_limb_coefficients_cross_a_rung(self):
+        assert _Kernel(NEAR_LIMB, 5).limbs > 1
+
+
 class TestMoments:
     def test_zero_order_is_total_probability(self):
         assert moment_direct(3, 4, (0, 0, 0), [F(1, 2), F(1, 3), F(1, 6)]) == 1
@@ -445,8 +520,13 @@ class TestMoments:
         for route in (moment_direct, moment_stirling):
             with pytest.raises(ValueError, match="^point has dimension 3, expected 2$"):
                 route(2, 2, (1, 0), [F(1, 3)] * 3)
-            for x in ([F(3, 2), F(-1, 2)], [F(1, 2), F(1, 3)], (1, 1), [F(-1, 3), F(2, 3), F(2, 3)]):
-                with pytest.raises(ValueError, match=f"^{re.escape(f'point {x!r} is not on the standard simplex')}$"):
+            for x, shown in (
+                ([F(3, 2), F(-1, 2)], "3/2, -1/2"),
+                ([F(1, 2), F(1, 3)], "1/2, 1/3"),
+                ((1, 1), "1, 1"),
+                ([F(-1, 3), F(2, 3), F(2, 3)], "-1/3, 2/3, 2/3"),
+            ):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'point ({shown}) is not on the standard simplex')}$"):
                     route(len(x), 2, (1,) + (0,) * (len(x) - 1), x)
 
     @settings(max_examples=80, deadline=None)

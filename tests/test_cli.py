@@ -141,7 +141,7 @@ class TestBernstein:
         # off the simplex the definitional form reads 8/3 and the reduced one 1
         code, out, err = run(capsys, "bernstein", "x1^2", "--n", "2", "--r", "3", "--eval", "1,1", "--route", route)
         assert code == 3 and out == ""
-        assert err.startswith("error: point") and err.endswith("is not on the standard simplex\n")
+        assert err == "error: point (1, 1) is not on the standard simplex\n"
 
     def test_auto_route_agreement(self, capsys):
         code, payload, _ = run_json(
@@ -274,6 +274,12 @@ class TestMoments:
             capsys, "moments", "--n", "2", "--r", "3", "--beta", "1,0", "--x", "1/3,1/3"
         )
         assert code == 3 and "simplex" in err
+
+    @pytest.mark.parametrize("x, shown", [("1,1", "1, 1"), ("3/2,-1/2", "3/2, -1/2")])
+    def test_off_simplex_names_the_point(self, capsys, x, shown):
+        code, out, err = run(capsys, "moments", "--n", "2", "--r", "3", "--beta", "1,0", "--x", x)
+        assert code == 3 and out == ""
+        assert err == f"error: point ({shown}) is not on the standard simplex\n"
 
 
 class TestStableSet:

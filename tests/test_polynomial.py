@@ -25,6 +25,7 @@ from simplexopt import (
     sample_grid_points,
     scale,
 )
+import simplexopt
 import simplexopt.polynomial as polynomial_module
 from simplexopt.polynomial import MAX_DEGREE, MAX_TERM_ENTRIES
 from conftest import coefficients, homogeneous_polynomials, naive_evaluate, random_polynomial
@@ -139,10 +140,32 @@ class TestConstruction:
             HomogeneousPolynomial(2, -1, {})
         with pytest.raises(ValueError):
             HomogeneousPolynomial(2, 2, {(1, 1, 0): F(1)})  # wrong key length
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"term \(3, 0\) has degree 3, expected 2"):
             HomogeneousPolynomial(2, 2, {(3, 0): F(1)})  # wrong degree
         with pytest.raises(ValueError):
             HomogeneousPolynomial(2, 2, {(-1, 3): F(1)})  # negative exponent
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda terms: HomogeneousPolynomial(2, 2, terms), lambda terms: GeneralPolynomial(2, terms)],
+        ids=["homogeneous", "general"],
+    )
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((-1, 3), r"exponent vector \(-1, 3\) must hold nonnegative integers"),
+            ((1.0, 1), r"exponent vector \(1.0, 1\) must hold nonnegative integers"),
+            ((1, 1, 0), r"exponent vector \(1, 1, 0\) has length 3, expected 2"),
+        ],
+        ids=["negative", "non-int", "length"],
+    )
+    def test_public_constructors_validate_keys(self, make, key, message):
+        with pytest.raises(ValueError, match=message):
+            make({key: F(1)})
+
+    def test_trusted_constructor_stays_private(self):
+        # the library's builders skip validation through it; user input cannot
+        assert "_from_numerators" not in simplexopt.__all__
 
     def test_zero_coefficients_dropped_and_merged(self):
         f = HomogeneousPolynomial(2, 2, {(2, 0): F(0), (1, 1): F(3)})
