@@ -1,6 +1,6 @@
 """Time grid_minimize on dense rows, split and streamed, and one wide row,
-the definitional Bernstein route's build, and evaluate on two definitional
-forms.
+the definitional Bernstein route's build, evaluate on two definitional
+forms, the cubic shortcut and the quadratic bound on wide sparse forms.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -12,11 +12,16 @@ x1^2 - 3*x1*xn + xn^2 in n = 1000 variables, whose grid streams in blocks
 of n-vectors.  Each is scanned at order r.  A build row times building the
 order-r definitional Bernstein form of a dense row, a term per grid point.
 An evaluate row builds that form and evaluates it at EVAL_POINTS seeded
-points of the order-37 grid.  Prints one JSON object: per row, the term and
-point counts (of the built form, for build and evaluate rows), the minimum
-CPU seconds of REPEATS scans, builds or evaluation sweeps, a digest of
-(value, argmin), of the built form's terms in term order or of the values,
-and the process's peak RSS after the row, in MiB.
+points of the order-37 grid.  The route row builds bernstein_cubic of a
+three-term cubic in n variables, and the vertex row certifies
+bound_quadratic for x1^2 in n variables at order 1 on its coefficient
+range; both are sized by n, not by their few terms.  Prints one JSON
+object: per row, the term and point counts (of the built form, for build,
+evaluate and route rows; the route row has no points), the minimum CPU
+seconds of REPEATS scans, builds, evaluation sweeps or certificates, a
+digest of (value, argmin), of the built form's terms in term order (sorted,
+for the route row), of the values or of the certificate's JSON, and the
+process's peak RSS after the row, in MiB.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ BUILD_ROWS = {
     # the largest grid the definitional route expands, 10,000 points
     "build-def-quadratic-n2-r9999": (2, 2, 9999),
 }
+WIDE_ROWS = {
+    "route-cubic-n200": (200, 3, 5),
+    "vertex-quadratic-n4000": (4000, 2, 1),
+}
 EVAL_POINTS = 10
 EVAL_ROWS = {
     # 1,286 terms; 37^8 < 2^63, so evaluate runs on int64
@@ -62,6 +71,10 @@ EVAL_ROWS = {
 def row(sx, name: str, n: int, d: int, seed: int):
     if name.startswith("wide"):
         return sx.parse_polynomial(f"x1^2 - 3*x1*x{n} + x{n}^2", n)
+    if name.startswith("route"):
+        return sx.parse_polynomial(f"x1^3 - 2*x1*x2*x3 + x{n - 1}^2*x{n}", n)
+    if name.startswith("vertex"):
+        return sx.parse_polynomial("x1^2", n)
     rng = Random(seed)
     terms = {beta: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for beta in sx.compositions(n, d)}
     return sx.HomogeneousPolynomial(n, d, terms)
@@ -84,7 +97,7 @@ def main(argv=None) -> int:
 
     out = {}
     # build rows last: the grid-limit form sets the process's peak RSS
-    for name, (n, d, r) in {**ROWS, **EVAL_ROWS, **BUILD_ROWS}.items():
+    for name, (n, d, r) in {**ROWS, **EVAL_ROWS, **WIDE_ROWS, **BUILD_ROWS}.items():
         f = row(sx, name, n, d, seed=n * 100 + d * 10 + r)
         if name in BUILD_ROWS:
             best, result = best_of(partial(sx.bernstein_definitional, f, r))
@@ -95,6 +108,13 @@ def main(argv=None) -> int:
             xs = sx.sample_grid_points(n, EVAL_POINTS, Random(r))
             best, values = best_of(lambda: [sx.evaluate(f, x) for x in xs])
             points, text = len(xs), ",".join(map(str, values))
+        elif name.startswith("route"):
+            best, result = best_of(partial(sx.bernstein_cubic, f, r))
+            f = result.reduced
+            points, text = None, ";".join(f"{beta}:{c}" for beta, c in sorted(f.terms.items()))
+        elif name.startswith("vertex"):
+            best, cert = best_of(lambda: sx.bound_quadratic(f, r, sx.coefficient_range(f)))
+            points, text = sx.grid_size(n, r), json.dumps(cert.to_json_dict())
         else:
             best, result = best_of(lambda: sx.grid_minimize(f, r))
             points, text = result.evaluations, f"{result.value}:{result.argmin.alpha}"

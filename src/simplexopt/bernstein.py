@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod, sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,8 +69,11 @@ class BernsteinResult:
 def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Degree-r homogeneous form: the coefficient of x^alpha is f(alpha/r) *
     r!/alpha!, r!/alpha! a product of entries of rows C(m, .) built once each,
-    a term per point of a grid of at most MAX_EXPANDED_POINTS points."""
-    _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
+    a term per point of a grid of at most MAX_EXPANDED_POINTS points and, as
+    each term keeps an n-long alpha, MAX_TERM_ENTRIES entries."""
+    size = _require_grid(f.n, r, MAX_EXPANDED_POINTS, "the definitional route")
+    if size * f.n > MAX_TERM_ENTRIES:
+        raise ValueError(f"the definitional route would keep {size} terms of {f.n} entries, past {MAX_TERM_ENTRIES} entries")
     kernel = _Kernel(f, r)
     rows: dict[int, list[int]] = {}
     numerators = {}
@@ -114,79 +117,62 @@ def _require_stirling(monomials: Iterable[MultiIndex], n: int) -> None:
         raise ValueError(f"the Stirling expansion walks {tuples} tuples of {n} entries, past {MAX_STIRLING_TUPLES} tuples or {MAX_TERM_ENTRIES} entries")
 
 
+def _summed(f: HomogeneousPolynomial, r: int, images: Callable[[MultiIndex], Iterable[tuple[MultiIndex, int]]], den: int, source: str) -> BernsteinResult:
+    """Reduced form sum over the terms c * x^beta of f of c * w * x^gamma, for
+    each (gamma, w) in images(beta), over cden * den: B_r is linear, so each
+    route gives B_r(x^beta) = sum w * x^gamma / den one monomial at a time."""
+    cden, _, numerators = f._integer_form
+    acc: dict[MultiIndex, int] = {}
+    for beta, c in zip(f.terms, numerators):
+        for gamma, w in images(beta):
+            acc[gamma] = acc.get(gamma, 0) + c * w
+    reduced = GeneralPolynomial._from_numerators(f.n, acc, acc.values(), cden * den)
+    return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=source)
+
+
 def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     """Reduced form of degree <= d: the per-monomial Stirling closed forms,
     weighted by the numerators of f and summed per gamma over cden * r^d."""
     _require_order(r)
     _require_stirling(f.terms, f.n)
-    cden, dmax, numerators = f._integer_form
-    acc: dict[MultiIndex, int] = {}
-    for beta, c in zip(f.terms, numerators):
-        for gamma, w in _stirling_weights(beta, r):
-            acc[gamma] = acc.get(gamma, 0) + c * w
-    reduced = GeneralPolynomial._from_numerators(f.n, acc, acc.values(), cden * r**dmax)
-    return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=SOURCE_CLOSED_FORM)
+    return _summed(f, r, lambda beta: _stirling_weights(beta, r), r**f.d, SOURCE_CLOSED_FORM)
 
 
 def bernstein_quadratic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
-    """Quadratic shortcut: with Q the coefficient matrix of f = x^T Q x,
-
-        B_r(f) = (1/r) * sum_i Q_ii x_i + (1 - 1/r) * f   on the simplex.
-    """
+    """Quadratic shortcut B_r(f) = (1/r) sum_i Q_ii x_i + (1 - 1/r) f on the
+    simplex, f = x^T Q x, taken per monomial: r B_r(x^beta) is (r-1) x^beta,
+    plus x_i when beta = 2e_i."""
     _require_order(r)
     if f.d != 2:
         raise ValueError(f"quadratic route needs degree 2, got degree {f.d}")
-    acc: dict[MultiIndex, Fraction] = {}
-    for i in range(f.n):
-        q = f.coefficient(tuple(2 if k == i else 0 for k in range(f.n)))
-        if q:
-            acc[tuple(1 if k == i else 0 for k in range(f.n))] = q / r
-    residual = 1 - Fraction(1, r)
-    if residual:
-        for beta, c in f.terms.items():
-            acc[beta] = acc.get(beta, Fraction(0)) + residual * c
-    reduced = GeneralPolynomial(f.n, acc)
-    return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=SOURCE_QUADRATIC)
+
+    def images(beta: MultiIndex) -> list[tuple[MultiIndex, int]]:
+        out = [(beta, r - 1)]
+        if 2 in beta:  # beta = 2e_i
+            out.append((tuple(b // 2 for b in beta), 1))
+        return out
+
+    return _summed(f, r, images, r, SOURCE_QUADRATIC)
 
 
 def bernstein_cubic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
-    """Cubic shortcut.  Writing f with coefficients f_i on x_i^3, g_ij on
-    x_i^2 x_j and f_ij on x_i x_j^2 (i < j), and f_ijk on x_i x_j x_k:
-
-        B_r(f) = ((r-1)(r-2)/r^2) f
-               + (1/r^2) [ sum_i f_i x_i
-                           + (r-1) ( sum_i 3 f_i x_i^2
-                                     + sum_{i<j} (f_ij + g_ij) x_i x_j ) ].
-    """
+    """Cubic shortcut, the source paper's formula taken per monomial: on the
+    simplex r^2 B_r(x^beta) is (r-1)(r-2) x^beta, plus x_i + 3(r-1) x_i^2
+    when beta = 3e_i and (r-1) x_i x_j when beta = 2e_i + e_j."""
     _require_order(r)
     if f.d != 3:
         raise ValueError(f"cubic route needs degree 3, got degree {f.d}")
-    n = f.n
-    rsq = r * r
-    acc: dict[MultiIndex, Fraction] = {}
 
-    def bump(key: MultiIndex, value: Fraction) -> None:
-        if value:
-            acc[key] = acc.get(key, Fraction(0)) + value
+    def images(beta: MultiIndex) -> list[tuple[MultiIndex, int]]:
+        out = [(beta, (r - 1) * (r - 2))]
+        if 3 in beta:  # beta = 3e_i
+            e_i = tuple(b // 3 for b in beta)
+            out += [(e_i, 1), (tuple(2 * b for b in e_i), 3 * (r - 1))]
+        elif 2 in beta:  # beta = 2e_i + e_j
+            out.append((tuple(min(b, 1) for b in beta), r - 1))
+        return out
 
-    lead = Fraction((r - 1) * (r - 2), rsq)
-    for beta, c in f.terms.items():
-        bump(beta, lead * c)
-    for i in range(n):
-        f_i = f.coefficient(tuple(3 if k == i else 0 for k in range(n)))
-        if f_i:
-            bump(tuple(1 if k == i else 0 for k in range(n)), Fraction(f_i, rsq))
-            bump(tuple(2 if k == i else 0 for k in range(n)), Fraction(3 * (r - 1), rsq) * f_i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g_ij = f.coefficient(tuple(2 if k == i else 1 if k == j else 0 for k in range(n)))
-            f_ij = f.coefficient(tuple(1 if k == i else 2 if k == j else 0 for k in range(n)))
-            mixed = f_ij + g_ij
-            if mixed:
-                key = tuple(1 if k in (i, j) else 0 for k in range(n))
-                bump(key, Fraction(r - 1, rsq) * mixed)
-    reduced = GeneralPolynomial(n, acc)
-    return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=SOURCE_CUBIC)
+    return _summed(f, r, images, r * r, SOURCE_CUBIC)
 
 
 def bernstein_squarefree(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -195,9 +181,8 @@ def bernstein_squarefree(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     _require_order(r)
     if not is_square_free(f):
         raise ValueError("square-free route needs a square-free polynomial")
-    factor = Fraction(falling_factorial(r, f.d), r**f.d)
-    reduced = GeneralPolynomial(f.n, {b: c * factor for b, c in f.terms.items()})
-    return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=SOURCE_SQUAREFREE)
+    w = falling_factorial(r, f.d)
+    return _summed(f, r, lambda beta: ((beta, w),), r**f.d, SOURCE_SQUAREFREE)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +191,10 @@ def bernstein_squarefree(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
 
 
 def _check_simplex_point(n: int, x: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """(a, D) with x = a / D; refuses a point off the standard simplex."""
+    """(a, D) with x = a / D; refuses a dimension below 1 and a point off the
+    standard simplex."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     a, den = _cleared_point(n, x)
     if min(a, default=0) < 0 or sum(a) != den:
         point = ", ".join(_format_rational(Fraction(v, den)) for v in a)

@@ -167,8 +167,12 @@ def _certify(
 
 
 def _largest_vertex_value(f: HomogeneousPolynomial) -> Fraction:
-    """max_i f(e_i): the coefficient of the largest pure power x_i^d."""
-    return max(f.coefficient(tuple(f.d if k == i else 0 for k in range(f.n))) for i in range(f.n))
+    """max_i f(e_i): the largest coefficient of a pure power x_i^d, and 0
+    when some x_i^d is absent (with d = 0 every f(e_i) is the constant)."""
+    pure = [c for beta, c in f.terms.items() if f.d in beta]
+    if f.d and len(pure) < f.n:
+        pure.append(Fraction(0))
+    return max(pure, default=Fraction(0))
 
 
 def _refute_exact_range(f: HomogeneousPolynomial, rng: RangeInput, grid_value: Fraction) -> None:

@@ -73,6 +73,9 @@ class TestDefinitional:
         assert result.terms == {} and result.d == 3
 
     def test_grid_limit_is_checked_before_any_work(self, monkeypatch):
+        # every term keeps an n-long alpha: 1000 points of 1000 entries fit
+        # MAX_TERM_ENTRIES, 1001 of 1001 do not
+        assert len(bernstein_definitional(parse_polynomial("1", 1000), 1).homogeneous.terms) == 1000
         f = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
         monkeypatch.setattr(bernstein_module, "MAX_EXPANDED_POINTS", grid_size(3, 4))
         assert len(bernstein_definitional(f, 4).homogeneous.terms) == grid_size(3, 4)
@@ -83,11 +86,13 @@ class TestDefinitional:
         monkeypatch.setattr(bernstein_module, "_Kernel", no_compile)
         with pytest.raises(ValueError, match="points"):
             bernstein_definitional(f, 5)
+        monkeypatch.setattr(bernstein_module, "MAX_EXPANDED_POINTS", MAX_EXPANDED_POINTS)
+        with pytest.raises(ValueError, match="1001 terms of 1001 entries, past 1000000 entries"):
+            bernstein_definitional(parse_polynomial("1", 1001), 1)
         monkeypatch.undo()
         assert grid_size(200, 200) > MAX_EXPANDED_POINTS
         with pytest.raises(ValueError, match="points"):
             bernstein_definitional(parse_polynomial("x1^2 + x2^2", 200), 200)
-
 
     def test_weights_at_the_grid_limit(self):
         # a multinomial per grid point took 12-16 s of CPU at this order
@@ -275,6 +280,14 @@ class TestCubicRoute:
         with pytest.raises(ValueError):
             bernstein_cubic(parse_polynomial("x1^2", 1), 2)
 
+    def test_wide_cubic_within_budget(self):
+        # one pass over the terms: nothing is sized by the n^2 pairs of variables
+        f = parse_polynomial("x1^3 - 2*x1*x2*x3 + x399^2*x400", 400)
+        start = time.process_time()
+        reduced = bernstein_cubic(f, 5).reduced
+        assert time.process_time() - start < 0.5
+        assert reduced.terms == closed_form_reference(f, 5)
+
 
 class TestSquarefreeRoute:
     def test_negative_cross_term(self):
@@ -418,6 +431,33 @@ class TestTrustedConstruction:
         for beta, c in f.terms.items():
             reduced[beta] = reduced.get(beta, F(0)) - c
         assert_as_validated(excess_polynomial(f, r), reduced)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just(bernstein_quadratic), homogeneous_polynomials(d=st.just(2))),
+            st.tuples(st.just(bernstein_cubic), homogeneous_polynomials(d=st.just(3))),
+            st.tuples(st.just(bernstein_squarefree), homogeneous_polynomials(square_free=True)),
+        ),
+        r=st.integers(1, 6),
+    )
+    @example(case=(bernstein_quadratic, HomogeneousPolynomial(3, 2, {})), r=4)
+    @example(case=(bernstein_cubic, parse_polynomial("3/4*x1^3", 1)), r=2)
+    @example(case=(bernstein_cubic, ZERO_TOTALS), r=3)
+    @example(case=(bernstein_quadratic, NEAR_LIMB), r=5)
+    @example(case=(bernstein_squarefree, parse_polynomial("x1*x2*x3", 3)), r=2)
+    def test_shortcuts_match_the_validating_constructor(self, case, r):
+        # the shortcuts list terms in their own order, so terms and the integer
+        # form are compared as maps: the integer form against a validated
+        # rebuild of the same terms
+        shortcut, f = case
+        reduced = shortcut(f, r).reduced
+        assert "_integer_form" in reduced.__dict__
+        assert reduced.terms == {gamma: c for gamma, c in closed_form_reference(f, r).items() if c}
+        assert all(type(c) is F for c in reduced.terms.values())
+        fresh = replace(reduced, terms=reduced.terms)
+        assert "_integer_form" not in fresh.__dict__
+        assert reduced._integer_form == fresh._integer_form
 
     def test_zero_polynomial_keeps_its_degree(self):
         f = HomogeneousPolynomial(3, 2, {})

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import ceil, log2
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simplexopt import (
     HomogeneousPolynomial,
@@ -82,6 +82,23 @@ class TestQuadraticBound:
     def test_wrong_degree(self):
         with pytest.raises(ValueError):
             bound_quadratic(parse_polynomial("x1^3", 1), 2, exact_range(0, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=homogeneous_polynomials(n=st.integers(1, 5)))
+    @example(f=HomogeneousPolynomial(3, 2, {}))
+    @example(f=parse_polynomial("-3", 2))
+    @example(f=parse_polynomial("-2*x1^2", 1))
+    @example(f=parse_polynomial("-x1^2 - x2^2 + 4*x1*x3", 3))
+    def test_vertex_value_is_the_largest_pure_power(self, f):
+        vertices = [tuple(f.d if k == i else 0 for k in range(f.n)) for i in range(f.n)]
+        assert bounds_module._largest_vertex_value(f) == max(f.coefficient(v) for v in vertices)
+
+    def test_wide_pure_square_within_budget(self):
+        f = parse_polynomial("x1^2", 8000)
+        start = time.process_time()
+        cert = bound_quadratic(f, 1, coefficient_range(f))
+        assert time.process_time() - start < 0.5
+        assert cert.bound_value == 1 and cert.satisfied
 
 
 class TestCubicBound:

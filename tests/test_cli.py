@@ -281,6 +281,10 @@ class TestMoments:
         assert code == 3 and out == ""
         assert err == f"error: point ({shown}) is not on the standard simplex\n"
 
+    def test_no_variables_rejected(self, capsys):
+        code, out, err = run(capsys, "moments", "--n", "0", "--r", "2", "--beta", "1", "--x", "1")
+        assert (code, out, err) == (3, "", "error: dimension must be >= 1, got 0\n")
+
 
 class TestStableSet:
     def test_five_cycle(self, capsys, tmp_path):
@@ -492,6 +496,7 @@ class TestLimits:
             (["grid-min", "x1", "--n", "300000", "--r", "1", "--json"], 3, "entries"),
             (["grid-min", "x1", "--n", "1000000", "--r", "1", "--json"], 3, "entries"),
             (["bernstein", "x1^5*x2^10*x3^10", "--n", "5000", "--r", "3", "--route", "closed", "--json"], 3, "Stirling"),
+            (["bernstein", "1", "--n", "8000", "--r", "1", "--route", "def", "--json"], 3, "entries"),
         ],
     )
     def test_limit_is_refused_at_once(self, capsys, argv, code, fragment):
