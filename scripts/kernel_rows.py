@@ -1,6 +1,7 @@
 """Time grid_minimize on dense rows, split and streamed, and one wide row,
 the definitional Bernstein route's build, evaluate on two definitional
-forms, the cubic shortcut and the quadratic bound on wide sparse forms.
+forms, the cubic shortcut and the quadratic bound on wide sparse forms,
+and the self-test suites.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -15,13 +16,18 @@ An evaluate row builds that form and evaluates it at EVAL_POINTS seeded
 points of the order-37 grid.  The route row builds bernstein_cubic of a
 three-term cubic in n variables, and the vertex row certifies
 bound_quadratic for x1^2 in n variables at order 1 on its coefficient
-range; both are sized by n, not by their few terms.  Prints one JSON
-object: per row, the term and point counts (of the built form, for build,
-evaluate and route rows; the route row has no points), the minimum CPU
-seconds of REPEATS scans, builds, evaluation sweeps or certificates, a
-digest of (value, argmin), of the built form's terms in term order (sorted,
-for the route row), of the values or of the certificate's JSON, and the
-process's peak RSS after the row, in MiB.
+range; both are sized by n, not by their few terms.  The selftest rows
+run run_selftest() and run_selftest(deep=True).  Each row is repeated at
+least MIN_REPEATS times, and then until its repeats have used CPU_FLOOR
+seconds of CPU or numbered MAX_REPEATS, so a row of a few ms is not judged
+on three samples.  Prints one JSON object: per row, the term and point
+counts (of the built form, for build, evaluate and route rows; the route
+row has no points, a selftest row neither), the number of repeats and the
+minimum CPU seconds of a scan, build, evaluation sweep, certificate or
+self-test, a digest of (value, argmin), of the built form's terms in term
+order (sorted, for the route row), of the values, of the certificate's JSON
+or of each check's (name, passed), and the process's peak RSS after the
+row, in MiB.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from functools import partial
 from pathlib import Path
 from random import Random
 
-REPEATS = 3
+MIN_REPEATS, MAX_REPEATS, CPU_FLOOR = 3, 15, 0.2
 ROWS = {
     "dense-cubic-n8-r15": (8, 3, 15),
     "dense-quartic-n6-r14": (6, 4, 14),
@@ -59,6 +65,8 @@ WIDE_ROWS = {
     "route-cubic-n200": (200, 3, 5),
     "vertex-quadratic-n4000": (4000, 2, 1),
 }
+# run_selftest() and run_selftest(deep=True); no polynomial, no order
+SELFTEST_ROWS = {"selftest": (None, None, None), "selftest-deep": (None, None, None)}
 EVAL_POINTS = 10
 EVAL_ROWS = {
     # 1,286 terms; 37^8 < 2^63, so evaluate runs on int64
@@ -88,38 +96,41 @@ def main(argv=None) -> int:
     import simplexopt as sx
 
     def best_of(call):
-        best = float("inf")
-        for _ in range(REPEATS):
+        times = []
+        while len(times) < MIN_REPEATS or (sum(times) < CPU_FLOOR and len(times) < MAX_REPEATS):
             start = time.process_time()
             result = call()
-            best = min(best, time.process_time() - start)
-        return best, result
+            times.append(time.process_time() - start)
+        return min(times), len(times), result
 
     out = {}
     # build rows last: the grid-limit form sets the process's peak RSS
-    for name, (n, d, r) in {**ROWS, **EVAL_ROWS, **WIDE_ROWS, **BUILD_ROWS}.items():
-        f = row(sx, name, n, d, seed=n * 100 + d * 10 + r)
-        if name in BUILD_ROWS:
-            best, result = best_of(partial(sx.bernstein_definitional, f, r))
+    for name, (n, d, r) in {**SELFTEST_ROWS, **ROWS, **EVAL_ROWS, **WIDE_ROWS, **BUILD_ROWS}.items():
+        f = None if name in SELFTEST_ROWS else row(sx, name, n, d, seed=n * 100 + d * 10 + r)
+        if name in SELFTEST_ROWS:
+            best, repeats, checks = best_of(partial(sx.run_selftest, deep=name.endswith("deep")))
+            points, text = None, ";".join(f"{check.name}:{check.passed}" for check in checks)
+        elif name in BUILD_ROWS:
+            best, repeats, result = best_of(partial(sx.bernstein_definitional, f, r))
             f = result.homogeneous
             points, text = sx.grid_size(n, r), ";".join(f"{beta}:{c}" for beta, c in f.terms.items())
         elif name in EVAL_ROWS:
             f = sx.bernstein_definitional(f, r).homogeneous
             xs = sx.sample_grid_points(n, EVAL_POINTS, Random(r))
-            best, values = best_of(lambda: [sx.evaluate(f, x) for x in xs])
+            best, repeats, values = best_of(lambda: [sx.evaluate(f, x) for x in xs])
             points, text = len(xs), ",".join(map(str, values))
         elif name.startswith("route"):
-            best, result = best_of(partial(sx.bernstein_cubic, f, r))
+            best, repeats, result = best_of(partial(sx.bernstein_cubic, f, r))
             f = result.reduced
             points, text = None, ";".join(f"{beta}:{c}" for beta, c in sorted(f.terms.items()))
         elif name.startswith("vertex"):
-            best, cert = best_of(lambda: sx.bound_quadratic(f, r, sx.coefficient_range(f)))
+            best, repeats, cert = best_of(lambda: sx.bound_quadratic(f, r, sx.coefficient_range(f)))
             points, text = sx.grid_size(n, r), json.dumps(cert.to_json_dict())
         else:
-            best, result = best_of(lambda: sx.grid_minimize(f, r))
+            best, repeats, result = best_of(lambda: sx.grid_minimize(f, r))
             points, text = result.evaluations, f"{result.value}:{result.argmin.alpha}"
         out[name] = {
-            "n": n, "d": d, "r": r, "terms": len(f.terms), "points": points,
+            "n": n, "d": d, "r": r, "terms": None if f is None else len(f.terms), "points": points, "repeats": repeats,
             "cpu_s": round(best, 6), "result": hashlib.sha256(text.encode()).hexdigest()[:16],
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }

@@ -213,6 +213,56 @@ def _check_moment_order(n: int, beta: Sequence[int]) -> MultiIndex:
     return order
 
 
+def _chain_step(sums: list[int], a_i: int, b_i: int, r: int) -> list[int]:
+    """The chain's sums after one more entry alpha_i, weighed by alpha_i^b_i."""
+    nxt = [0] * (r + 1)
+    for s, c in enumerate(sums):
+        m = r - s
+        for k in range(m + 1):  # c = sums[s] * C(m, k) * a_i^k
+            nxt[s + k] += c * k**b_i
+            c = c * a_i * (m - k) // (k + 1)
+    return nxt
+
+
+def _direct_sums(a: list[int], r: int, orders: Sequence[MultiIndex]) -> list[int]:
+    """D^r times the grid sum of moment_direct at x = a / D, for each order.
+    The orders share their chains: the sums after the entries beta_1..beta_i
+    are built once per distinct such leading part, from the sums of its own
+    leading part, and the last entry is taken per order by Horner's rule."""
+    chains: dict[MultiIndex, list[int]] = {}
+    totals = []
+    for beta in orders:
+        sums = [1]
+        for i in range(len(a) - 1):
+            head = beta[: i + 1]
+            if head not in chains:
+                chains[head] = _chain_step(sums, a[i], beta[i], r)
+            sums = chains[head]
+        # the last entry is r - s: Horner in a_n over the totals s (with one
+        # variable, sums is [1] and a_n = D = 1, so no power of a_n is missing)
+        total, a_n, b_n = 0, a[-1], beta[-1]
+        for s, acc in enumerate(sums):
+            total = total * a_n + acc * (r - s) ** b_n
+        totals.append(total)
+    return totals
+
+
+def _stirling_sums(a: list[int], den: int, r: int, orders: Sequence[MultiIndex]) -> list[int]:
+    """D^|beta| times the Stirling closed form of moment_stirling at x = a / D,
+    for each order beta; each a^gamma is computed once for the point and
+    shared by the orders whose walks reach gamma."""
+    monomials: dict[MultiIndex, int] = {}
+    totals = []
+    for beta in orders:
+        depth, total = sum(beta), 0
+        for gamma, weight in _stirling_weights(beta, r):
+            if gamma not in monomials:
+                monomials[gamma] = prod(map(pow, a, gamma))
+            total += weight * monomials[gamma] * den ** (depth - sum(gamma))
+        totals.append(total)
+    return totals
+
+
 def moment_direct(
     n: int, r: int, beta: Sequence[int], x: Sequence[RationalLike]
 ) -> Fraction:
@@ -228,22 +278,7 @@ def moment_direct(
     a, den = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
     _require_grid(n, r, MAX_EXPANDED_POINTS, "the direct moment sum")
-    sums = [1]
-    for a_i, b_i in zip(a[:-1], beta[:-1]):
-        nxt = [0] * (r + 1)
-        for s, c in enumerate(sums):
-            m = r - s
-            for k in range(m + 1):  # c = sums[s] * C(m, k) * a_i^k
-                nxt[s + k] += c * k**b_i
-                c = c * a_i * (m - k) // (k + 1)
-        sums = nxt
-    # the last entry is r - s: Horner in a_n over the totals s (with one
-    # variable, sums is [1] and a_n = D = 1, so no power of a_n is missing)
-    a_n, b_n = a[-1], beta[-1]
-    total = 0
-    for s, acc in enumerate(sums):
-        total = total * a_n + acc * (r - s) ** b_n
-    return Fraction(total, den**r)
+    return Fraction(_direct_sums(a, r, [beta])[0], den**r)
 
 
 def moment_stirling(
@@ -258,9 +293,7 @@ def moment_stirling(
     a, den = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
     _require_stirling([beta], n)
-    depth = sum(beta)
-    total = sum(weight * prod(map(pow, a, gamma)) * den ** (depth - sum(gamma)) for gamma, weight in _stirling_weights(beta, r))
-    return Fraction(total, den**depth)
+    return Fraction(_stirling_sums(a, den, r, [beta])[0], den ** sum(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Falling factorials, Stirling numbers of the second kind, multinomial
 coefficients, plus the two identities the general error-bound analysis rests
 on, each paired with a brute-force oracle.  Everything here is exact
 integer arithmetic: arbitrary precision, except the surjection walk's numpy
-blocks, whose masks and per-block sums are bounded far below their dtypes;
-nothing overflows silently.
+masks and histograms, whose entries and sums are bounded far below their
+dtypes; nothing overflows silently.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ def multinomial(r: int, alpha: Sequence[int]) -> int:
     return out
 
 
-# Entries in the surjection walk's mask array: a grid block's budget.
-_SURJECTION_CELLS = 1 << 17
-
-
 def _cover_masks(k: int, length: int) -> np.ndarray:
     """Bitmask of the values covered by each of the k^length maps of a
     length-element set into range(k), in lexicographic order of the maps."""
@@ -131,18 +127,20 @@ def _cover_masks(k: int, length: int) -> np.ndarray:
 def surjection_count(d: int, k: int) -> int:
     """Count surjections from a d-element set onto a k-element set by
     exhaustively enumerating maps: every assignment of the first d-1 elements
-    is walked, and the number of admissible images for the last element is
-    read off directly (k when the prefix already covers everything, 1 when
-    exactly one value is missing, 0 otherwise).
+    is weighed by the number of admissible images for the last element (k
+    when the prefix already covers everything, 1 when exactly one value is
+    missing, 0 otherwise).
 
-    The walk runs in numpy blocks.  A prefix splits into head digits and its
-    last L elements, with k^L <= 2^17 (the block budget of the grid scan).
-    One uint16 array holds the bitmask of the values covered by each of the
-    k^L tail assignments; for every head, in a Python loop, the head's mask
-    is ORed into that array and each of the k^(d-1) prefixes is weighed
-    through a 2^k-entry table indexed by its covered set.  For k > d there is
-    no surjection (pigeonhole) and 0 is returned before any work, so masks
-    never need more than d <= 10 bits.
+    A prefix splits into its first d-1-L elements, the head, and its last
+    L = floor(d/2) elements, the tail.  The k^(d-1-L) heads and the k^L
+    tails are enumerated in numpy as uint16 bitmasks of the values they
+    cover, at most 10^5 of them, and each side is reduced to a bincount
+    histogram over the 2^k covered sets.  A prefix's weight depends only on
+    the union of its head's and its tail's masks, so each distinct head
+    mask is weighed once against the tail histogram, 2^k products, and
+    counted as often as it occurs.  For k > d there is no surjection
+    (pigeonhole) and 0 is returned before any work, so masks never need
+    more than d <= 10 bits.
 
     Oracle-only: equals k!·S(d, k) and uses neither, and d is capped at 10
     to keep the enumeration honest about its cost.
@@ -158,18 +156,14 @@ def surjection_count(d: int, k: int) -> int:
     # images left for the last element, by the bitmask a prefix covers:
     # k when no value is missing, 1 when one is, 0 otherwise
     missing = (k - bin(mask).count("1") for mask in range(1 << k))
-    weights = np.array([{0: k, 1: 1}.get(m, 0) for m in missing], np.uint8)
-    tail = 0
-    while tail < d - 1 and k ** (tail + 1) <= _SURJECTION_CELLS:
-        tail += 1
-    tails = _cover_masks(k, tail)
-    covered = np.empty_like(tails)
-    weighed = np.empty(tails.shape, np.uint8)
+    weights = np.array([{0: k, 1: 1}.get(m, 0) for m in missing], np.int64)
+    tail = d // 2
+    tails = np.bincount(_cover_masks(k, tail), minlength=1 << k)
+    heads = np.bincount(_cover_masks(k, d - 1 - tail), minlength=1 << k)
+    sets = np.arange(1 << k)
     count = 0
-    for head in _cover_masks(k, d - 1 - tail).tolist():
-        np.bitwise_or(tails, head, out=covered)
-        np.take(weights, covered, out=weighed)
-        count += int(weighed.sum(dtype=np.int64))
+    for head in np.flatnonzero(heads).tolist():
+        count += int(heads[head]) * int(weights[sets | head] @ tails)
     return count
 
 

@@ -74,10 +74,13 @@ class _SparsePolynomial:
         """Coefficient v / den at each key, as given: keys distinct, valid and
         in term order, den > 0, a zero v dropped; degree is d=... if homogeneous."""
         poly = cls(n, terms={}, **degree)
-        kept = {key: v for key, v in zip(keys, numerators) if v}
-        object.__setattr__(poly, "terms", {key: Fraction(v, den) for key, v in kept.items()})
-        g = gcd(den, *kept.values())  # v // 1 would copy every big numerator
-        reduced = tuple(v // g for v in kept.values()) if g > 1 else tuple(kept.values())
+        terms = {key: Fraction(v, den) for key, v in zip(keys, numerators) if v}
+        object.__setattr__(poly, "terms", terms)
+        # v / den is p / q in lowest terms, so the lcm of the q is den / g, g
+        # the gcd of den and the small den // q; p * 1 would copy a big p
+        factors = [den // c.denominator for c in terms.values()]
+        g = gcd(den, *factors)
+        reduced = tuple(c.numerator if f == g else c.numerator * (f // g) for c, f in zip(terms.values(), factors))
         poly.__dict__["_integer_form"] = (den // g, poly.d if degree else poly.degree(), reduced)
         return poly
 

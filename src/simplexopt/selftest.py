@@ -14,13 +14,15 @@ from math import comb
 from random import Random
 
 from .bernstein import (
+    _check_simplex_point,
+    _direct_sums,
+    _require_stirling,
+    _stirling_sums,
     bernstein_closed_form,
     bernstein_cubic,
     bernstein_definitional,
     bernstein_quadratic,
     bernstein_squarefree,
-    moment_direct,
-    moment_stirling,
 )
 from .combinatorics import (
     compositions,
@@ -29,7 +31,7 @@ from .combinatorics import (
     stirling_split_sides,
     surjection_count,
 )
-from .grid import composition_unrank, grid_size, sample_grid_points
+from .grid import MAX_EXPANDED_POINTS, _require_grid, composition_unrank, grid_size, sample_grid_points
 from .polynomial import HomogeneousPolynomial, evaluate, is_square_free
 
 
@@ -103,18 +105,24 @@ def check_surjections(max_d: int) -> CheckResult:
 
 
 def check_moment_equivalence(max_n: int, max_r: int, max_beta: int, points: int, rng: Random) -> CheckResult:
+    """Both moment routes at every order |beta| <= max_beta, one walk each per
+    point: the direct total d over D^r and the Stirling total s over
+    D^|beta| agree when d * D^|beta| == s * D^r."""
     failures = []
     for n in range(1, max_n + 1):
         betas = [b for total in range(0, max_beta + 1) for b in compositions(n, total)]
+        _require_stirling(betas, n)
         for r in range(1, max_r + 1):
+            _require_grid(n, r, MAX_EXPANDED_POINTS, "the direct moment sum")
             xs = sample_grid_points(n, points, rng)
             for x in xs:
-                for beta in betas:
-                    direct = moment_direct(n, r, beta, x)
-                    closed = moment_stirling(n, r, beta, x)
-                    if direct != closed:
+                a, den = _check_simplex_point(n, x)
+                direct, closed = _direct_sums(a, r, betas), _stirling_sums(a, den, r, betas)
+                for beta, d, s in zip(betas, direct, closed):
+                    depth = sum(beta)
+                    if d * den**depth != s * den**r:
                         failures.append(
-                            f"n={n} r={r} beta={beta} x={x}: direct={direct} stirling={closed}"
+                            f"n={n} r={r} beta={beta} x={x}: direct={Fraction(d, den**r)} stirling={Fraction(s, den**depth)}"
                         )
     return CheckResult(
         f"moment route equivalence (n<={max_n}, r<={max_r}, |beta|<={max_beta})",

@@ -611,6 +611,34 @@ class TestMoments:
             with pytest.raises(ValueError):
                 moment_stirling(2, 2, bad, x)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        r=st.integers(1, 5),
+        data=st.data(),
+    )
+    @example(n=1, r=3, data=None)
+    def test_walks_match_the_single_order_routes_and_a_grid_sum(self, n, r, data):
+        if data is None:  # one variable: the only point is x = (1)
+            weights, orders = [1], [(2,), (0,), (2,), (5,)]
+        else:
+            weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+            orders = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6))
+            # a repeated order, and one sharing all but its last entry with another
+            orders += [orders[0], orders[-1][:-1] + (orders[-1][-1] ^ 1,)]
+        den = sum(weights)
+        x = [F(w, den) for w in weights]  # zero entries, and unequal denominators
+        a, D = bernstein_module._check_simplex_point(n, x)
+        direct = bernstein_module._direct_sums(a, r, orders)
+        closed = bernstein_module._stirling_sums(a, D, r, orders)
+        for beta, d, s in zip(orders, direct, closed):
+            grid_sum = sum(
+                prod(k**b for k, b in zip(alpha, beta)) * multinomial(r, alpha) * prod(v**k for v, k in zip(x, alpha))
+                for alpha in enumerate_grid(n, r)
+            )
+            assert F(d, D**r) == moment_direct(n, r, beta, x) == grid_sum
+            assert F(s, D ** sum(beta)) == moment_stirling(n, r, beta, x) == grid_sum
+
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):

@@ -145,6 +145,14 @@ class TestSurjections:
             for k in range(0, d + 1):
                 assert surjection_count(d, k) == factorial(k) * stirling2(d, k)
 
+    def test_matches_counting_every_map(self):
+        from itertools import product
+
+        for d in range(0, 7):
+            for k in range(0, d + 2):
+                onto = sum(1 for image in product(range(k), repeat=d) if len(set(image)) == k)
+                assert surjection_count(d, k) == onto
+
     # (10, 10) is checked by the memory test below
     @pytest.mark.parametrize("d, ks", [(9, range(0, 10)), (10, (9,))])
     def test_matches_stirling_at_the_largest_degrees(self, d, ks):
