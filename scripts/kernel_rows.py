@@ -11,22 +11,25 @@ with every monomial of degree d in n variables and seeded rational
 coefficients; the wide row is the three-term quadratic
 x1^2 - 3*x1*xn + xn^2 in n = 1000 variables, whose grid streams in blocks
 of n-vectors.  Each is scanned at order r.  A build row times building the
-order-r definitional Bernstein form of a dense row, a term per grid point.
-An evaluate row builds that form and evaluates it at EVAL_POINTS seeded
-points of the order-37 grid.  The route row builds bernstein_cubic of a
-three-term cubic in n variables, and the vertex row certifies
+order-r definitional Bernstein form of a dense row, a term per grid point,
+and the first read of its integer form, which every consumer of the form
+makes.  An evaluate row builds that form and evaluates it at EVAL_POINTS
+seeded points of the order-37 grid.  The route row builds bernstein_cubic
+of a three-term cubic in n variables, and the vertex row certifies
 bound_quadratic for x1^2 in n variables at order 1 on its coefficient
 range; both are sized by n, not by their few terms.  The selftest rows
-run run_selftest() and run_selftest(deep=True).  Each row is repeated at
-least MIN_REPEATS times, and then until its repeats have used CPU_FLOOR
-seconds of CPU or numbered MAX_REPEATS, so a row of a few ms is not judged
-on three samples.  Prints one JSON object: per row, the term and point
-counts (of the built form, for build, evaluate and route rows; the route
-row has no points, a selftest row neither), the number of repeats and the
-minimum CPU seconds of a scan, build, evaluation sweep, certificate or
-self-test, a digest of (value, argmin), of the built form's terms in term
-order (sorted, for the route row), of the values, of the certificate's JSON
-or of each check's (name, passed), and the process's peak RSS after the
+run run_selftest() and run_selftest(deep=True), and the moment-check row
+the deep suite's check_moment_equivalence(4, 8, 6, 10, Random(0)) alone.
+Each row is repeated at least MIN_REPEATS times, and then until its
+repeats have used CPU_FLOOR seconds of CPU or numbered MAX_REPEATS, so a
+row of a few ms is not judged on three samples.  Prints one JSON object:
+per row, the term and point counts (of the built form, for build,
+evaluate and route rows; the route row has no points, a selftest or
+moment-check row neither), the number of repeats and the minimum CPU
+seconds of a scan, build, evaluation sweep, certificate or check, a
+digest of (value, argmin), of the built form's terms in term order
+(sorted, for the route row), of the values, of the certificate's JSON or
+of each check's (name, passed), and the process's peak RSS after the
 row, in MiB.
 """
 
@@ -65,8 +68,9 @@ WIDE_ROWS = {
     "route-cubic-n200": (200, 3, 5),
     "vertex-quadratic-n4000": (4000, 2, 1),
 }
-# run_selftest() and run_selftest(deep=True); no polynomial, no order
-SELFTEST_ROWS = {"selftest": (None, None, None), "selftest-deep": (None, None, None)}
+# run_selftest(), run_selftest(deep=True) and the deep suite's moment check;
+# no polynomial, no order
+SELFTEST_ROWS = {"selftest": (None, None, None), "selftest-deep": (None, None, None), "moment-check-deep": (None, None, None)}
 EVAL_POINTS = 10
 EVAL_ROWS = {
     # 1,286 terms; 37^8 < 2^63, so evaluate runs on int64
@@ -88,6 +92,13 @@ def row(sx, name: str, n: int, d: int, seed: int):
     return sx.HomogeneousPolynomial(n, d, terms)
 
 
+def built(sx, f, r):
+    """The order-r definitional form of f, its integer form read once."""
+    form = sx.bernstein_definitional(f, r).homogeneous
+    form._integer_form
+    return form
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -107,12 +118,14 @@ def main(argv=None) -> int:
     # build rows last: the grid-limit form sets the process's peak RSS
     for name, (n, d, r) in {**SELFTEST_ROWS, **ROWS, **EVAL_ROWS, **WIDE_ROWS, **BUILD_ROWS}.items():
         f = None if name in SELFTEST_ROWS else row(sx, name, n, d, seed=n * 100 + d * 10 + r)
-        if name in SELFTEST_ROWS:
+        if name.startswith("moment"):
+            best, repeats, checks = best_of(lambda: [sx.selftest.check_moment_equivalence(4, 8, 6, 10, Random(0))])
+            points, text = None, ";".join(f"{check.name}:{check.passed}" for check in checks)
+        elif name in SELFTEST_ROWS:
             best, repeats, checks = best_of(partial(sx.run_selftest, deep=name.endswith("deep")))
             points, text = None, ";".join(f"{check.name}:{check.passed}" for check in checks)
         elif name in BUILD_ROWS:
-            best, repeats, result = best_of(partial(sx.bernstein_definitional, f, r))
-            f = result.homogeneous
+            best, repeats, f = best_of(partial(built, sx, f, r))
             points, text = sx.grid_size(n, r), ";".join(f"{beta}:{c}" for beta, c in f.terms.items())
         elif name in EVAL_ROWS:
             f = sx.bernstein_definitional(f, r).homogeneous

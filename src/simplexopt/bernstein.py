@@ -96,17 +96,14 @@ def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, in
     every gamma <= beta whose weight is nonzero.
 
     Only gamma with gamma_i >= 1 wherever beta_i >= 1 can contribute, since
-    S(b, 0) = 0 for b >= 1, so the walk takes prod max(beta_i, 1) tuples.
+    S(b, 0) = 0 for b >= 1, so the walk takes prod max(beta_i, 1) tuples.  On
+    those S(beta_i, gamma_i) >= 1, so a weight is zero only when |gamma| > r.
     """
     ranges = [range(1, b + 1) if b else range(0, 1) for b in beta]
     for gamma in product(*ranges):
-        sprod = 1
-        for b_i, g_i in zip(beta, gamma):
-            sprod *= stirling2(b_i, g_i)
-        if sprod:
-            weight = falling_factorial(r, sum(gamma)) * sprod
-            if weight:
-                yield gamma, weight
+        weight = falling_factorial(r, sum(gamma)) * prod(map(stirling2, beta, gamma))
+        if weight:
+            yield gamma, weight
 
 
 def _require_stirling(monomials: Iterable[MultiIndex], n: int) -> None:
@@ -247,20 +244,13 @@ def _direct_sums(a: list[int], r: int, orders: Sequence[MultiIndex]) -> list[int
     return totals
 
 
-def _stirling_sums(a: list[int], den: int, r: int, orders: Sequence[MultiIndex]) -> list[int]:
+def _stirling_sums(a: list[int], den: int, weighted: Iterable[tuple[int, Iterable[tuple[MultiIndex, int]]]]) -> list[int]:
     """D^|beta| times the Stirling closed form of moment_stirling at x = a / D,
-    for each order beta; each a^gamma is computed once for the point and
-    shared by the orders whose walks reach gamma."""
-    monomials: dict[MultiIndex, int] = {}
-    totals = []
-    for beta in orders:
-        depth, total = sum(beta), 0
-        for gamma, weight in _stirling_weights(beta, r):
-            if gamma not in monomials:
-                monomials[gamma] = prod(map(pow, a, gamma))
-            total += weight * monomials[gamma] * den ** (depth - sum(gamma))
-        totals.append(total)
-    return totals
+    for each pair (|beta|, the (gamma, weight) of _stirling_weights(beta, r)),
+    which depend on the order only, so a caller builds them once for all its
+    points."""
+    return [sum(w * prod(map(pow, a, gamma)) * den ** (depth - sum(gamma)) for gamma, w in weights)
+            for depth, weights in weighted]
 
 
 def moment_direct(
@@ -293,7 +283,7 @@ def moment_stirling(
     a, den = _check_simplex_point(n, x)
     beta = _check_moment_order(n, beta)
     _require_stirling([beta], n)
-    return Fraction(_stirling_sums(a, den, r, [beta])[0], den ** sum(beta))
+    return Fraction(_stirling_sums(a, den, [(sum(beta), _stirling_weights(beta, r))])[0], den ** sum(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -63,25 +63,17 @@ def _clean_terms(terms: Mapping[MultiIndex, RationalLike], n: int) -> dict[Multi
 class _SparsePolynomial:
     """What both polynomial classes share: coefficient lookup, the integer
     form (the least common denominator cden of the coefficients, the top
-    degree dmax and the numerators over cden in term order), which the
-    validating public constructors build on first use and _from_numerators
-    seeds, and, as the grid kernel never reads it, the power index that
-    evaluate gathers through, built on first use.  Instances are immutable,
-    so neither goes stale."""
+    degree dmax and the numerators over cden in term order), derived on
+    first read however the polynomial was built, and, as the grid kernel
+    never reads it, the power index that evaluate gathers through, built on
+    first use.  Instances are immutable, so neither goes stale."""
 
     @classmethod
     def _from_numerators(cls, n: int, keys: Iterable[MultiIndex], numerators: Iterable[int], den: int, **degree: int) -> Polynomial:
         """Coefficient v / den at each key, as given: keys distinct, valid and
         in term order, den > 0, a zero v dropped; degree is d=... if homogeneous."""
         poly = cls(n, terms={}, **degree)
-        terms = {key: Fraction(v, den) for key, v in zip(keys, numerators) if v}
-        object.__setattr__(poly, "terms", terms)
-        # v / den is p / q in lowest terms, so the lcm of the q is den / g, g
-        # the gcd of den and the small den // q; p * 1 would copy a big p
-        factors = [den // c.denominator for c in terms.values()]
-        g = gcd(den, *factors)
-        reduced = tuple(c.numerator if f == g else c.numerator * (f // g) for c, f in zip(terms.values(), factors))
-        poly.__dict__["_integer_form"] = (den // g, poly.d if degree else poly.degree(), reduced)
+        object.__setattr__(poly, "terms", {key: Fraction(v, den) for key, v in zip(keys, numerators) if v})
         return poly
 
     def coefficient(self, beta: Sequence[int]) -> Fraction:
@@ -95,7 +87,8 @@ class _SparsePolynomial:
         coeffs = self.terms.values()
         cden = lcm(*(c.denominator for c in coeffs))
         dmax = self.d if isinstance(self, HomogeneousPolynomial) else self.degree()
-        return cden, dmax, tuple(c.numerator * (cden // c.denominator) for c in coeffs)
+        # a numerator already over cden is kept: p * 1 would copy a big p
+        return cden, dmax, tuple(c.numerator if c.denominator == cden else c.numerator * (cden // c.denominator) for c in coeffs)
 
     @cached_property
     def _power_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,8 +330,9 @@ def parse_polynomial(text: str, n: int) -> HomogeneousPolynomial:
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Render a polynomial in the input grammar; parsing the output
-    reproduces the term map exactly."""
+    """Render a polynomial in the input grammar.  For a homogeneous form,
+    parsing the output reproduces the term map exactly; the parser refuses
+    mixed degrees, so a mixed-degree form's output does not parse."""
     if not p.terms:
         return "0"
     parts: list[str] = []

@@ -18,6 +18,7 @@ from .bernstein import (
     _direct_sums,
     _require_stirling,
     _stirling_sums,
+    _stirling_weights,
     bernstein_closed_form,
     bernstein_cubic,
     bernstein_definitional,
@@ -106,18 +107,19 @@ def check_surjections(max_d: int) -> CheckResult:
 
 def check_moment_equivalence(max_n: int, max_r: int, max_beta: int, points: int, rng: Random) -> CheckResult:
     """Both moment routes at every order |beta| <= max_beta, one walk each per
-    point: the direct total d over D^r and the Stirling total s over
-    D^|beta| agree when d * D^|beta| == s * D^r."""
+    point, the Stirling weights built once per (n, r): the direct total d
+    over D^r and the Stirling total s over D^|beta| agree when
+    d * D^|beta| == s * D^r."""
     failures = []
     for n in range(1, max_n + 1):
         betas = [b for total in range(0, max_beta + 1) for b in compositions(n, total)]
         _require_stirling(betas, n)
         for r in range(1, max_r + 1):
             _require_grid(n, r, MAX_EXPANDED_POINTS, "the direct moment sum")
-            xs = sample_grid_points(n, points, rng)
-            for x in xs:
+            weighted = [(sum(beta), list(_stirling_weights(beta, r))) for beta in betas]
+            for x in sample_grid_points(n, points, rng):
                 a, den = _check_simplex_point(n, x)
-                direct, closed = _direct_sums(a, r, betas), _stirling_sums(a, den, r, betas)
+                direct, closed = _direct_sums(a, r, betas), _stirling_sums(a, den, weighted)
                 for beta, d, s in zip(betas, direct, closed):
                     depth = sum(beta)
                     if d * den**depth != s * den**r:

@@ -4,7 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from unittest import mock
 
 import pytest
@@ -196,6 +196,18 @@ class TestClosedFormMonomials:
         }
 
 
+class TestStirlingWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), total=st.integers(0, 6), r=st.integers(1, 8), data=st.data())
+    @example(n=3, total=3, r=1, data=(1, 2, 0))  # every gamma has |gamma| > r: no weight
+    @example(n=3, total=0, r=8, data=(0, 0, 0))
+    def test_matches_every_gamma_enumerated(self, n, total, r, data):
+        # the same pairs in the same order: the closed form lists its terms
+        # in the order the gamma first appear
+        beta = data if isinstance(data, tuple) else data.draw(st.sampled_from(list(compositions(n, total))))
+        assert list(bernstein_module._stirling_weights(beta, r)) == stirling_weights_reference(beta, r)
+
+
 class TestQuadraticRoute:
     def test_example_reduced_form(self):
         f = parse_polynomial(EXAMPLE_QUADRATIC, 2)
@@ -383,8 +395,7 @@ class TestRouteAgreement:
 def assert_as_validated(poly, reference):
     """poly, built through the trusted constructor, equals the validating
     constructor's polynomial on the reference terms: the same items in the
-    same order, Fraction values, and the seeded integer form equal to the one
-    a fresh instance rebuilds from its Fractions."""
+    same order, Fraction values, and the same integer form."""
     fresh = replace(poly, terms=reference)
     assert list(poly.terms.items()) == list(fresh.terms.items())
     assert all(type(c) is F for c in poly.terms.values())
@@ -392,12 +403,25 @@ def assert_as_validated(poly, reference):
     assert poly._integer_form == fresh._integer_form
 
 
+def stirling2_reference(b, g):
+    """S(b, g) by inclusion-exclusion: the surjections of b items onto g
+    cells, over g!."""
+    return sum((-1) ** j * comb(g, j) * (g - j) ** b for j in range(g + 1)) // factorial(g)
+
+
+def stirling_weights_reference(beta, r):
+    """The nonzero (gamma, r^(|gamma| falling) * prod S(beta_i, gamma_i)) over
+    every gamma <= beta, zero entries included, in lexicographic order."""
+    pairs = ((gamma, perm(r, sum(gamma)) * prod(map(stirling2_reference, beta, gamma))) for gamma in product(*(range(b + 1) for b in beta)))
+    return [(gamma, w) for gamma, w in pairs if w]
+
+
 def closed_form_reference(f, r):
     """B_r(f) on the simplex summed per gamma in Fractions, in the order the
     gamma first appear."""
     acc = {}
     for beta, c in f.terms.items():
-        for gamma, w in bernstein_module._stirling_weights(beta, r):
+        for gamma, w in stirling_weights_reference(beta, r):
             acc[gamma] = acc.get(gamma, F(0)) + c * w / r**f.d
     return acc
 
@@ -423,7 +447,6 @@ class TestTrustedConstruction:
     def test_builders_match_the_validating_constructor(self, f, r):
         definitional = bernstein_definitional(f, r).homogeneous
         closed = bernstein_closed_form(f, r).reduced
-        assert "_integer_form" in definitional.__dict__ and "_integer_form" in closed.__dict__
         grid = [*definitional.terms, *compositions(f.n, r)]  # terms first, in their order
         assert_as_validated(definitional, {alpha: naive_evaluate(f, [F(a, r) for a in alpha]) * multinomial(r, alpha) for alpha in grid})
         reduced = closed_form_reference(f, r)
@@ -452,12 +475,31 @@ class TestTrustedConstruction:
         # rebuild of the same terms
         shortcut, f = case
         reduced = shortcut(f, r).reduced
-        assert "_integer_form" in reduced.__dict__
         assert reduced.terms == {gamma: c for gamma, c in closed_form_reference(f, r).items() if c}
         assert all(type(c) is F for c in reduced.terms.values())
         fresh = replace(reduced, terms=reduced.terms)
         assert "_integer_form" not in fresh.__dict__
         assert reduced._integer_form == fresh._integer_form
+
+    def test_integer_form_is_derived_on_first_read(self):
+        quadratic, squarefree = parse_polynomial("x1^2 - 3/4*x1*x2 + 2/3*x2^2", 2), parse_polynomial("x1*x2*x3 - 2/5*x1*x2*x4", 4)
+        built = [route(quadratic, 3) for route in (bernstein_definitional, bernstein_closed_form, bernstein_quadratic)]
+        built += [route(squarefree, 4) for route in (bernstein_cubic, bernstein_squarefree)]
+        for result in built:
+            poly = result.homogeneous or result.reduced
+            assert "_integer_form" not in poly.__dict__
+            form = poly._integer_form
+            assert poly.__dict__["_integer_form"] is form
+            assert form == replace(poly, terms=poly.terms)._integer_form
+
+    def test_numerator_over_the_common_denominator_is_kept(self):
+        # 2/3 is scaled to 14/21; big/21, already over cden = 21, keeps its
+        # numerator object, where big * 1 would copy thousands of digits
+        big = 21**3000 + 1
+        poly = GeneralPolynomial._from_numerators(2, [(1, 0), (0, 1)], [big, 14], 21)
+        cden, _, numerators = poly._integer_form
+        assert (cden, numerators) == (21, (big, 14))
+        assert numerators[0] is poly.terms[(1, 0)].numerator
 
     def test_zero_polynomial_keeps_its_degree(self):
         f = HomogeneousPolynomial(3, 2, {})
@@ -630,7 +672,7 @@ class TestMoments:
         x = [F(w, den) for w in weights]  # zero entries, and unequal denominators
         a, D = bernstein_module._check_simplex_point(n, x)
         direct = bernstein_module._direct_sums(a, r, orders)
-        closed = bernstein_module._stirling_sums(a, D, r, orders)
+        closed = bernstein_module._stirling_sums(a, D, [(sum(beta), bernstein_module._stirling_weights(beta, r)) for beta in orders])
         for beta, d, s in zip(orders, direct, closed):
             grid_sum = sum(
                 prod(k**b for k, b in zip(alpha, beta)) * multinomial(r, alpha) * prod(v**k for v, k in zip(x, alpha))

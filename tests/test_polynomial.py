@@ -240,6 +240,14 @@ class TestFormatting:
             again = parse_polynomial(format_polynomial(f), n)
             assert again.terms == f.terms
 
+    def test_mixed_degree_output_does_not_parse(self):
+        # a reduced Bernstein form mixes degrees: it prints, but the round
+        # trip holds for homogeneous forms only
+        text = format_polynomial(GeneralPolynomial(2, {(1, 0): 1, (0, 0): 2}))
+        assert text == "x1 + 2"
+        with pytest.raises(ParseError, match="mixed degrees"):
+            parse_polynomial(text, 2)
+
 
 class TestEvaluate:
     def test_example_minimizer_value(self):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from simplexopt import run_selftest
+from simplexopt import compositions, run_selftest
 from simplexopt import selftest as selftest_module
 from simplexopt.selftest import check_moment_equivalence
 
@@ -50,9 +50,10 @@ def test_a_walk_off_in_one_order_fails_and_names_it(monkeypatch, walk):
     wrong = (1, 2, 0)
     real = getattr(selftest_module, walk)
 
-    def off_by_one(*args):
-        orders = args[-1]
-        return [t + (beta == wrong) for beta, t in zip(orders, real(*args))]
+    def off_by_one(a, *args):
+        # both walks take the point first and return a total per order |beta| <= 3
+        orders = [beta for total in range(4) for beta in compositions(len(a), total)]
+        return [t + (beta == wrong) for beta, t in zip(orders, real(a, *args), strict=True)]
 
     monkeypatch.setattr(selftest_module, walk, off_by_one)
     result = check_moment_equivalence(3, 2, 3, 2, Random(0))
