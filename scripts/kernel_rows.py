@@ -1,7 +1,7 @@
 """Time grid_minimize on dense rows, split and streamed, and one wide row,
 the definitional Bernstein route's build, evaluate on two definitional
 forms, the cubic shortcut and the quadratic bound on wide sparse forms,
-and the self-test suites.
+the Bernstein excess, the stable-set bounds, and the self-test suites.
 
     python3 scripts/kernel_rows.py [--src DIR]
 
@@ -17,20 +17,25 @@ makes.  An evaluate row builds that form and evaluates it at EVAL_POINTS
 seeded points of the order-37 grid.  The route row builds bernstein_cubic
 of a three-term cubic in n variables, and the vertex row certifies
 bound_quadratic for x1^2 in n variables at order 1 on its coefficient
-range; both are sized by n, not by their few terms.  The selftest rows
-run run_selftest() and run_selftest(deep=True), and the moment-check row
-the deep suite's check_moment_equivalence(4, 8, 6, 10, Random(0)) alone.
+range; both are sized by n, not by their few terms.  The excess row takes
+bernstein_excess_on_grid of a dense cubic row at order r on the order
+EXCESS_VERIFY grid, and the stable-set row stable_set_bounds of a seeded
+graph on n vertices, each edge drawn with probability STABLE_DENSITY, at
+order r.  The selftest rows run run_selftest() and
+run_selftest(deep=True), and the moment-check row the deep suite's
+check_moment_equivalence(4, 8, 6, 10, Random(0)) alone.
 Each row is repeated at least MIN_REPEATS times, and then until its
 repeats have used CPU_FLOOR seconds of CPU or numbered MAX_REPEATS, so a
 row of a few ms is not judged on three samples.  Prints one JSON object:
 per row, the term and point counts (of the built form, for build,
-evaluate and route rows; the route row has no points, a selftest or
-moment-check row neither), the number of repeats and the minimum CPU
-seconds of a scan, build, evaluation sweep, certificate or check, a
-digest of (value, argmin), of the built form's terms in term order
-(sorted, for the route row), of the values, of the certificate's JSON or
-of each check's (name, passed), and the process's peak RSS after the
-row, in MiB.
+evaluate and route rows, of the stable-set form for the stable-set row;
+the route row has no points, a selftest or moment-check row neither), the
+number of repeats and the minimum CPU seconds of a scan, build, evaluation
+sweep, excess, certificate or check, a digest of (value, argmin), of the
+built form's terms in term order (sorted, for the route row), of the
+values, of the excess's (value, witness), of the certificate's JSON or of
+each check's (name, passed), and the process's peak RSS after the row, in
+MiB.
 """
 
 from __future__ import annotations
@@ -68,6 +73,11 @@ WIDE_ROWS = {
     "route-cubic-n200": (200, 3, 5),
     "vertex-quadratic-n4000": (4000, 2, 1),
 }
+EXCESS_VERIFY = 28
+EXCESS_ROWS = {"excess-cubic-n4-r6": (4, 3, 6)}
+STABLE_DENSITY = 0.7
+# d = 2, the degree of the graph's Motzkin-Straus form
+STABLE_ROWS = {"stable-n14-r5": (14, 2, 5)}
 # run_selftest(), run_selftest(deep=True) and the deep suite's moment check;
 # no polynomial, no order
 SELFTEST_ROWS = {"selftest": (None, None, None), "selftest-deep": (None, None, None), "moment-check-deep": (None, None, None)}
@@ -88,6 +98,12 @@ def row(sx, name: str, n: int, d: int, seed: int):
     if name.startswith("vertex"):
         return sx.parse_polynomial("x1^2", n)
     rng = Random(seed)
+    if name.startswith("stable"):  # the adjacency matrix
+        adjacency = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                adjacency[i][j] = adjacency[j][i] = int(rng.random() < STABLE_DENSITY)
+        return adjacency
     terms = {beta: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for beta in sx.compositions(n, d)}
     return sx.HomogeneousPolynomial(n, d, terms)
 
@@ -116,7 +132,7 @@ def main(argv=None) -> int:
 
     out = {}
     # build rows last: the grid-limit form sets the process's peak RSS
-    for name, (n, d, r) in {**SELFTEST_ROWS, **ROWS, **EVAL_ROWS, **WIDE_ROWS, **BUILD_ROWS}.items():
+    for name, (n, d, r) in {**SELFTEST_ROWS, **ROWS, **EVAL_ROWS, **WIDE_ROWS, **EXCESS_ROWS, **STABLE_ROWS, **BUILD_ROWS}.items():
         f = None if name in SELFTEST_ROWS else row(sx, name, n, d, seed=n * 100 + d * 10 + r)
         if name.startswith("moment"):
             best, repeats, checks = best_of(lambda: [sx.selftest.check_moment_equivalence(4, 8, 6, 10, Random(0))])
@@ -136,6 +152,13 @@ def main(argv=None) -> int:
             best, repeats, result = best_of(partial(sx.bernstein_cubic, f, r))
             f = result.reduced
             points, text = None, ";".join(f"{beta}:{c}" for beta, c in sorted(f.terms.items()))
+        elif name in EXCESS_ROWS:
+            best, repeats, (value, witness) = best_of(lambda: sx.bernstein_excess_on_grid(f, r, EXCESS_VERIFY))
+            points, text = sx.grid_size(n, EXCESS_VERIFY), f"{value}:{witness.alpha}"
+        elif name in STABLE_ROWS:
+            best, repeats, (_, _, cert) = best_of(partial(sx.stable_set_bounds, f, r))
+            f = sx.motzkin_straus(f)
+            points, text = sx.grid_size(n, r), json.dumps(cert.to_json_dict())
         elif name.startswith("vertex"):
             best, repeats, cert = best_of(lambda: sx.bound_quadratic(f, r, sx.coefficient_range(f)))
             points, text = sx.grid_size(n, r), json.dumps(cert.to_json_dict())

@@ -97,13 +97,14 @@ def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, in
 
     Only gamma with gamma_i >= 1 wherever beta_i >= 1 can contribute, since
     S(b, 0) = 0 for b >= 1, so the walk takes prod max(beta_i, 1) tuples.  On
-    those S(beta_i, gamma_i) >= 1, so a weight is zero only when |gamma| > r.
+    those S(beta_i, gamma_i) >= 1, so a weight is zero only when |gamma| > r,
+    where the falling factorial is 0 and the Stirling product is not taken.
     """
     ranges = [range(1, b + 1) if b else range(0, 1) for b in beta]
     for gamma in product(*ranges):
-        weight = falling_factorial(r, sum(gamma)) * prod(map(stirling2, beta, gamma))
-        if weight:
-            yield gamma, weight
+        falling = falling_factorial(r, sum(gamma))
+        if falling:
+            yield gamma, falling * prod(map(stirling2, beta, gamma))
 
 
 def _require_stirling(monomials: Iterable[MultiIndex], n: int) -> None:
@@ -133,6 +134,15 @@ def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     _require_order(r)
     _require_stirling(f.terms, f.n)
     return _summed(f, r, lambda beta: _stirling_weights(beta, r), r**f.d, SOURCE_CLOSED_FORM)
+
+
+def _closed_form_excess(f: HomogeneousPolynomial, r: int) -> GeneralPolynomial:
+    """B_r(f) - f on the simplex in the closed form's one pass: each beta's
+    Stirling images, then beta itself weighted -r^d, over cden * r^d."""
+    _require_order(r)
+    _require_stirling(f.terms, f.n)
+    rd = r**f.d
+    return _summed(f, r, lambda beta: (*_stirling_weights(beta, r), (beta, -rd)), rd, SOURCE_CLOSED_FORM).reduced
 
 
 def bernstein_quadratic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:

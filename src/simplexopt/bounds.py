@@ -33,7 +33,6 @@ from .combinatorics import falling_factorial
 from .grid import MAX_GRID_POINTS, GridMinimum, GridPoint, _require_order
 from .grid import grid_maximize, grid_minimize
 from .polynomial import (
-    GeneralPolynomial,
     HomogeneousPolynomial,
     _rat,
     coefficient_range_bounds,
@@ -41,7 +40,7 @@ from .polynomial import (
     motzkin_straus,
     ptas_constant,
 )
-from .bernstein import bernstein_closed_form
+from .bernstein import _closed_form_excess
 
 PROVENANCE_EXACT = "exact_known"
 PROVENANCE_COEFFICIENT = "bernstein_coefficient_range"
@@ -434,11 +433,5 @@ def bernstein_excess_on_grid(
     its witness point (the lexicographically smallest index among ties).
     This is an exact lower estimate of the true maximum over the simplex
     (which is not computable exactly in general)."""
-    reduced = bernstein_closed_form(f, r).reduced
-    assert reduced is not None
-    (rden, _, rnums), (fden, _, fnums) = reduced._integer_form, f._integer_form
-    excess = {beta: v * fden for beta, v in zip(reduced.terms, rnums)}
-    for beta, v in zip(f.terms, fnums):
-        excess[beta] = excess.get(beta, 0) - v * rden
-    gm = grid_maximize(GeneralPolynomial._from_numerators(f.n, excess, excess.values(), rden * fden), verify_order)
+    gm = grid_maximize(_closed_form_excess(f, r), verify_order)
     return gm.value, gm.argmin

@@ -466,16 +466,9 @@ def motzkin_straus(adjacency: Sequence[Sequence[int]]) -> HomogeneousPolynomial:
                 raise ValueError(f"adjacency matrix is asymmetric at ({i},{j})")
         if row[i] != 0:
             raise ValueError(f"adjacency diagonal must be zero, got {row[i]} at {i}")
-    terms: dict[MultiIndex, Fraction] = {}
-    for i in range(n):
-        key = tuple(2 if k == i else 0 for k in range(n))
-        terms[key] = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j]:
-                key = tuple(1 if k in (i, j) else 0 for k in range(n))
-                terms[key] = Fraction(2)
-    return HomogeneousPolynomial(n, 2, terms)
+    keys = [tuple(2 if k == i else 0 for k in range(n)) for i in range(n)]
+    keys += [tuple(1 if k in (i, j) else 0 for k in range(n)) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    return HomogeneousPolynomial._from_numerators(n, keys, [1] * n + [2] * (len(keys) - n), 1, d=2)
 
 
 def parse_graph(text: str) -> list[list[int]]:

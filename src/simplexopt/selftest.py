@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from random import Random
 
 from .bernstein import (
@@ -96,10 +96,7 @@ def check_surjections(max_d: int) -> CheckResult:
     for d in range(0, max_d + 1):
         for k in range(0, d + 1):
             brute = surjection_count(d, k)
-            closed = 1
-            for i in range(1, k + 1):
-                closed *= i
-            closed *= stirling2(d, k)
+            closed = factorial(k) * stirling2(d, k)
             if brute != closed:
                 failures.append(f"d={d} k={k}: enumerated={brute} k!*S={closed}")
     return CheckResult(f"surjection count vs k!*S(d,k) (d<={max_d})", not failures, failures)

@@ -444,16 +444,20 @@ class TestTrustedConstruction:
     @example(f=ZERO_TOTALS, r=3)
     @example(f=NEAR_LIMB, r=5)
     @example(f=parse_polynomial("3/4*x1^3", 1), r=4)
+    @example(f=HomogeneousPolynomial(2, 2, {(0, 2): 1, (2, 0): 1}), r=1)  # r < d: no beta among beta's images
     def test_builders_match_the_validating_constructor(self, f, r):
         definitional = bernstein_definitional(f, r).homogeneous
         closed = bernstein_closed_form(f, r).reduced
         grid = [*definitional.terms, *compositions(f.n, r)]  # terms first, in their order
         assert_as_validated(definitional, {alpha: naive_evaluate(f, [F(a, r) for a in alpha]) * multinomial(r, alpha) for alpha in grid})
-        reduced = closed_form_reference(f, r)
-        assert_as_validated(closed, reduced)
+        assert_as_validated(closed, closed_form_reference(f, r))
+        # the excess takes each beta's Stirling images, then beta itself
+        excess = {}
         for beta, c in f.terms.items():
-            reduced[beta] = reduced.get(beta, F(0)) - c
-        assert_as_validated(excess_polynomial(f, r), reduced)
+            for gamma, w in stirling_weights_reference(beta, r):
+                excess[gamma] = excess.get(gamma, F(0)) + c * w / r**f.d
+            excess[beta] = excess.get(beta, F(0)) - c
+        assert_as_validated(excess_polynomial(f, r), excess)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -480,6 +480,23 @@ class TestMotzkinStraus:
         assert len(squares) == 5 and len(crosses) == 5
         assert all(f.terms[b] == 2 for b in crosses)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    def test_matches_the_validating_constructor(self, graph):
+        # squares first, then the edges in (i, j) order, as a validated build
+        n, edges = graph
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        adjacency = [[0] * n for _ in range(n)]
+        for (i, j), edge in zip(pairs, edges):
+            adjacency[i][j] = adjacency[j][i] = int(edge)
+        terms = {tuple(2 * (k == i) for k in range(n)): 1 for i in range(n)}
+        terms.update({tuple(int(k in pair) for k in range(n)): 2 for pair, edge in zip(pairs, edges) if edge})
+        f, reference = motzkin_straus(adjacency), HomogeneousPolynomial(n, 2, terms)
+        assert list(f.terms.items()) == list(reference.terms.items())
+        assert all(type(c) is F for c in f.terms.values())
+        assert (f.n, f.d) == (n, 2)
+        assert f._integer_form == reference._integer_form
+
     @pytest.mark.parametrize(
         "matrix",
         [
