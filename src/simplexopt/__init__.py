@@ -6,6 +6,21 @@ emits machine-checkable certificates for the grid-vs-true-minimum error
 bounds, including the accuracy-driven choice of grid order.
 """
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it, and its extra
+# workers cost more CPU than they save (README, "BLAS threads and memory").
+# Unless the caller chose a count or imported numpy, load it with one thread
+# and leave os.environ, and so every child process, as it was.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+del os, sys
+
 from .bernstein import (
     BernsteinResult,
     bernstein_closed_form,
