@@ -50,8 +50,6 @@ from .bounds import (
 )
 from .combinatorics import (
     MultiIndex,
-    check_identity_falling_sum,
-    check_identity_stirling_split,
     compositions,
     falling_factorial,
     multinomial,
@@ -73,7 +71,6 @@ from .polynomial import (
     GeneralPolynomial,
     HomogeneousPolynomial,
     ParseError,
-    add,
     bernstein_coefficients,
     coefficient_range_bounds,
     equal_on_simplex,
@@ -84,7 +81,6 @@ from .polynomial import (
     parse_graph,
     parse_polynomial,
     ptas_constant,
-    scale,
 )
 from .selftest import run_selftest
 
@@ -98,7 +94,6 @@ __all__ = [
     "MultiIndex",
     "ParseError",
     "RangeInput",
-    "add",
     "bernstein_closed_form",
     "bernstein_coefficients",
     "bernstein_cubic",
@@ -111,8 +106,6 @@ __all__ = [
     "bound_quadratic",
     "bound_squarefree",
     "brute_force_stable_set_number",
-    "check_identity_falling_sum",
-    "check_identity_stirling_split",
     "coefficient_range",
     "coefficient_range_bounds",
     "composition_unrank",
@@ -140,7 +133,6 @@ __all__ = [
     "ptas_constant",
     "run_selftest",
     "sample_grid_points",
-    "scale",
     "stable_set_bounds",
     "stirling2",
     "sum_of_powers_grid_min",

@@ -47,23 +47,15 @@ from .polynomial import (
 
 MAX_STIRLING_TUPLES = 10**5  # most gamma one Stirling expansion walks over all its monomials, a few us each
 
-SOURCE_DEFINITIONAL = "definitional"
-SOURCE_CLOSED_FORM = "closed_form"
-SOURCE_QUADRATIC = "specialized_quadratic"
-SOURCE_CUBIC = "specialized_cubic"
-SOURCE_SQUAREFREE = "specialized_squarefree"
-
 
 @dataclass(frozen=True)
 class BernsteinResult:
-    """One route's output: the degree-r homogeneous form, the reduced
-    (degree <= d) simplex form, or both.  The populated forms agree at every
-    point of the simplex."""
+    """One route's output: exactly one of the degree-r homogeneous form
+    (the definitional route) and the reduced (degree <= d) simplex form
+    (every other route)."""
 
     homogeneous: HomogeneousPolynomial | None
     reduced: GeneralPolynomial | None
-    r: int
-    source: str
 
 
 def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -88,7 +80,7 @@ def bernstein_definitional(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
             numerators[tuple(alpha)] = v * w
     del rows  # at the grid limit the binomial rows weigh as much as the terms: free them first
     poly = HomogeneousPolynomial._from_numerators(f.n, numerators, numerators.values(), kernel.denom, d=r)
-    return BernsteinResult(homogeneous=poly, reduced=None, r=r, source=SOURCE_DEFINITIONAL)
+    return BernsteinResult(homogeneous=poly, reduced=None)
 
 
 def _stirling_weights(beta: MultiIndex, r: int) -> Iterator[tuple[MultiIndex, int]]:
@@ -115,7 +107,7 @@ def _require_stirling(monomials: Iterable[MultiIndex], n: int) -> None:
         raise ValueError(f"the Stirling expansion walks {tuples} tuples of {n} entries, past {MAX_STIRLING_TUPLES} tuples or {MAX_TERM_ENTRIES} entries")
 
 
-def _summed(f: HomogeneousPolynomial, r: int, images: Callable[[MultiIndex], Iterable[tuple[MultiIndex, int]]], den: int, source: str) -> BernsteinResult:
+def _summed(f: HomogeneousPolynomial, images: Callable[[MultiIndex], Iterable[tuple[MultiIndex, int]]], den: int) -> BernsteinResult:
     """Reduced form sum over the terms c * x^beta of f of c * w * x^gamma, for
     each (gamma, w) in images(beta), over cden * den: B_r is linear, so each
     route gives B_r(x^beta) = sum w * x^gamma / den one monomial at a time."""
@@ -125,7 +117,7 @@ def _summed(f: HomogeneousPolynomial, r: int, images: Callable[[MultiIndex], Ite
         for gamma, w in images(beta):
             acc[gamma] = acc.get(gamma, 0) + c * w
     reduced = GeneralPolynomial._from_numerators(f.n, acc, acc.values(), cden * den)
-    return BernsteinResult(homogeneous=None, reduced=reduced, r=r, source=source)
+    return BernsteinResult(homogeneous=None, reduced=reduced)
 
 
 def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -133,7 +125,7 @@ def bernstein_closed_form(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     weighted by the numerators of f and summed per gamma over cden * r^d."""
     _require_order(r)
     _require_stirling(f.terms, f.n)
-    return _summed(f, r, lambda beta: _stirling_weights(beta, r), r**f.d, SOURCE_CLOSED_FORM)
+    return _summed(f, lambda beta: _stirling_weights(beta, r), r**f.d)
 
 
 def _closed_form_excess(f: HomogeneousPolynomial, r: int) -> GeneralPolynomial:
@@ -142,7 +134,7 @@ def _closed_form_excess(f: HomogeneousPolynomial, r: int) -> GeneralPolynomial:
     _require_order(r)
     _require_stirling(f.terms, f.n)
     rd = r**f.d
-    return _summed(f, r, lambda beta: (*_stirling_weights(beta, r), (beta, -rd)), rd, SOURCE_CLOSED_FORM).reduced
+    return _summed(f, lambda beta: (*_stirling_weights(beta, r), (beta, -rd)), rd).reduced
 
 
 def bernstein_quadratic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -159,7 +151,7 @@ def bernstein_quadratic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
             out.append((tuple(b // 2 for b in beta), 1))
         return out
 
-    return _summed(f, r, images, r, SOURCE_QUADRATIC)
+    return _summed(f, images, r)
 
 
 def bernstein_cubic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -179,7 +171,7 @@ def bernstein_cubic(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
             out.append((tuple(min(b, 1) for b in beta), r - 1))
         return out
 
-    return _summed(f, r, images, r * r, SOURCE_CUBIC)
+    return _summed(f, images, r * r)
 
 
 def bernstein_squarefree(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
@@ -189,7 +181,7 @@ def bernstein_squarefree(f: HomogeneousPolynomial, r: int) -> BernsteinResult:
     if not is_square_free(f):
         raise ValueError("square-free route needs a square-free polynomial")
     w = falling_factorial(r, f.d)
-    return _summed(f, r, lambda beta: ((beta, w),), r**f.d, SOURCE_SQUAREFREE)
+    return _summed(f, lambda beta: ((beta, w),), r**f.d)
 
 
 # ---------------------------------------------------------------------------

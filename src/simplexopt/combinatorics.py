@@ -174,14 +174,6 @@ def falling_sum_sides(d: int, r: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def check_identity_falling_sum(d: int, r: int) -> bool:
-    """Exact check of the falling-factorial/Stirling summation identity."""
-    if d < 1 or r < 1:
-        raise ValueError(f"need d >= 1 and r >= 1, got ({d}, {r})")
-    lhs, rhs = falling_sum_sides(d, r)
-    return lhs == rhs
-
-
 def stirling_split_sides(alpha: Sequence[int], d: int) -> tuple[Fraction, Fraction]:
     """Both sides of the Stirling splitting identity for alpha with |alpha|=k < d:
 
@@ -210,9 +202,3 @@ def stirling_split_sides(alpha: Sequence[int], d: int) -> tuple[Fraction, Fracti
         alpha_fact *= factorial(a)
     rhs = Fraction(alpha_fact * total, factorial(k))
     return lhs, rhs
-
-
-def check_identity_stirling_split(alpha: Sequence[int], d: int) -> bool:
-    """Exact check of the Stirling splitting identity."""
-    lhs, rhs = stirling_split_sides(alpha, d)
-    return lhs == rhs

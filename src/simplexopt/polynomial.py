@@ -38,7 +38,6 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.reason = message
         self.position = position
 
 
@@ -61,12 +60,12 @@ def _clean_terms(terms: Mapping[MultiIndex, RationalLike], n: int) -> dict[Multi
 
 
 class _SparsePolynomial:
-    """What both polynomial classes share: coefficient lookup, the integer
-    form (the least common denominator cden of the coefficients, the top
-    degree dmax and the numerators over cden in term order), derived on
-    first read however the polynomial was built, and, as the grid kernel
-    never reads it, the power index that evaluate gathers through, built on
-    first use.  Instances are immutable, so neither goes stale."""
+    """What both polynomial classes share: the integer form (the least common
+    denominator cden of the coefficients, the top degree dmax and the
+    numerators over cden in term order), derived on first read however the
+    polynomial was built, and, as the grid kernel never reads it, the power
+    index that evaluate gathers through, built on first use.  Instances are
+    immutable, so neither goes stale."""
 
     @classmethod
     def _from_numerators(cls, n: int, keys: Iterable[MultiIndex], numerators: Iterable[int], den: int, **degree: int) -> Polynomial:
@@ -75,12 +74,6 @@ class _SparsePolynomial:
         poly = cls(n, terms={}, **degree)
         object.__setattr__(poly, "terms", {key: Fraction(v, den) for key, v in zip(keys, numerators) if v})
         return poly
-
-    def coefficient(self, beta: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(beta), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @cached_property
     def _integer_form(self) -> tuple[int, int, tuple[int, ...]]:
@@ -146,22 +139,6 @@ class GeneralPolynomial(_SparsePolynomial):
 
 
 Polynomial = Union[HomogeneousPolynomial, GeneralPolynomial]
-
-
-def add(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """Exact sum of two homogeneous polynomials of matching shape."""
-    if f.n != g.n or f.d != g.d:
-        raise ValueError(f"shape mismatch: ({f.n},{f.d}) vs ({g.n},{g.d})")
-    out = dict(f.terms)
-    for beta, c in g.terms.items():
-        out[beta] = out.get(beta, Fraction(0)) + c
-    return HomogeneousPolynomial(f.n, f.d, out)
-
-
-def scale(f: HomogeneousPolynomial, c: RationalLike) -> HomogeneousPolynomial:
-    """Exact scalar multiple."""
-    factor = Fraction(c)
-    return HomogeneousPolynomial(f.n, f.d, {b: v * factor for b, v in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------

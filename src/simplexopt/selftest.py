@@ -171,20 +171,12 @@ def check_specialized_routes(cases: int, max_r: int, rng: Random) -> CheckResult
 
 def run_selftest(deep: bool = False, seed: int = 0) -> list[CheckResult]:
     rng = Random(seed)
-    if deep:
-        return [
-            check_falling_sum(10, 40),
-            check_stirling_split(3, 5, 7),
-            check_surjections(9),
-            check_moment_equivalence(4, 8, 6, 10, rng),
-            check_route_agreement(25, 4, 4, 8, 10, rng),
-            check_specialized_routes(25, 8, rng),
-        ]
-    return [
-        check_falling_sum(8, 20),
-        check_stirling_split(3, 4, 6),
-        check_surjections(8),
-        check_moment_equivalence(3, 5, 4, 5, rng),
-        check_route_agreement(10, 3, 3, 5, 10, rng),
-        check_specialized_routes(10, 6, rng),
+    suite = [  # (check, arguments, --deep arguments), run in this order
+        (check_falling_sum, (8, 20), (10, 40)),
+        (check_stirling_split, (3, 4, 6), (3, 5, 7)),
+        (check_surjections, (8,), (9,)),
+        (check_moment_equivalence, (3, 5, 4, 5, rng), (4, 8, 6, 10, rng)),
+        (check_route_agreement, (10, 3, 3, 5, 10, rng), (25, 4, 4, 8, 10, rng)),
+        (check_specialized_routes, (10, 6, rng), (25, 8, rng)),
     ]
+    return [check(*(deep_args if deep else args)) for check, args, deep_args in suite]

@@ -21,8 +21,6 @@ from simplexopt import (
     bound_general,
     bound_quadratic,
     bound_squarefree,
-    check_identity_falling_sum,
-    check_identity_stirling_split,
     coefficient_range,
     compositions,
     equal_on_simplex,
@@ -38,6 +36,7 @@ from simplexopt import (
     sum_of_powers_grid_min,
     surjection_count,
 )
+from simplexopt.combinatorics import falling_sum_sides, stirling_split_sides
 from conftest import random_polynomial
 
 F = Fraction
@@ -161,12 +160,14 @@ def test_criterion_05_identity_suites():
     with _Budget("criterion 5: combinatorial identity suites", 10.0):
         for d in range(1, 9):
             for r in range(1, 21):
-                assert check_identity_falling_sum(d, r)
+                lhs, rhs = falling_sum_sides(d, r)
+                assert lhs == rhs
         for n in range(1, 4):
             for k in range(1, 5):
                 for alpha in compositions(n, k):
                     for d in range(k + 1, 7):
-                        assert check_identity_stirling_split(alpha, d)
+                        lhs, rhs = stirling_split_sides(alpha, d)
+                        assert lhs == rhs
         fact = 1
         for d in range(0, 9):
             for k in range(0, d + 1):

@@ -91,7 +91,7 @@ class TestQuadraticBound:
     @example(f=parse_polynomial("-x1^2 - x2^2 + 4*x1*x3", 3))
     def test_vertex_value_is_the_largest_pure_power(self, f):
         vertices = [tuple(f.d if k == i else 0 for k in range(f.n)) for i in range(f.n)]
-        assert bounds_module._largest_vertex_value(f) == max(f.coefficient(v) for v in vertices)
+        assert bounds_module._largest_vertex_value(f) == max(f.terms.get(v, 0) for v in vertices)
 
     def test_wide_pure_square_within_budget(self):
         f = parse_polynomial("x1^2", 8000)

@@ -529,12 +529,7 @@ class TestInternalInvariantSurfaces:
         from simplexopt.bernstein import BernsteinResult
 
         def broken_closed_form(f, r):
-            return BernsteinResult(
-                homogeneous=None,
-                reduced=GeneralPolynomial(f.n, {(0,) * f.n: Fraction(1234)}),
-                r=r,
-                source="closed_form",
-            )
+            return BernsteinResult(homogeneous=None, reduced=GeneralPolynomial(f.n, {(0,) * f.n: Fraction(1234)}))
 
         monkeypatch.setattr(cli_module, "bernstein_closed_form", broken_closed_form)
         code, _, err = run(capsys, "bernstein", "x1^2 + x2^2", "--n", "2", "--r", "3")
