@@ -10,7 +10,10 @@ checkouts can be compared on the same inputs.  A dense row is a polynomial
 with every monomial of degree d in n variables and seeded rational
 coefficients; the wide row is the three-term quadratic
 x1^2 - 3*x1*xn + xn^2 in n = 1000 variables, whose grid streams in blocks
-of n-vectors.  Each is scanned at order r.  A build row times building the
+of n-vectors.  Each is scanned at order r.  The compile row times compiling
+the dense row of the same n, d and r for its order-r scan (grid._Kernel),
+whose first repeat also derives the polynomial's integer form; it builds
+no index table.  A build row times building the
 order-r definitional Bernstein form of a dense row, a term per grid point,
 and the first read of its integer form, which every consumer of the form
 makes.  An evaluate row builds that form and evaluates it at EVAL_POINTS
@@ -30,10 +33,14 @@ row of a few ms is not judged on three samples.  Prints one JSON object:
 per row, the term and point counts (of the built form, for build,
 evaluate and route rows, of the stable-set form for the stable-set row;
 the route row has no points, a selftest or moment-check row neither), the
-number of repeats, the minimum CPU seconds of a scan, build, evaluation
-sweep, excess, certificate or check and, over the same repeats, the minimum
-wall seconds (CPU time counts every BLAS thread, wall time what a caller
-waits), a digest of (value, argmin), of the
+number of repeats, the minimum CPU seconds of a scan, compile, build,
+evaluation sweep, excess, certificate or check, the CPU seconds of its
+first repeat (a scan's first repeat builds the split index tables that the
+later ones find in the process's memo, so the minimum times a warm memo)
+and, over the same repeats, the minimum wall seconds (CPU time counts
+every BLAS thread, wall time what a caller waits), a digest of (value,
+argmin), of the compiled kernel's head length, limbs, denominator and
+coefficient matrix, of the
 built form's terms in term order (sorted, for the route row), of the
 values, of the excess's (value, witness), of the certificate's JSON or of
 each check's (name, passed), and the process's peak RSS after the row, in
@@ -66,6 +73,7 @@ ROWS = {
     # a thousand variables, two nonzero: streamed in blocks of 131 points
     "wide-n1000-r2": (1000, 2, 2),
 }
+COMPILE_ROWS = {"compile-dense-cubic-n12-r12": (12, 3, 12)}
 BUILD_ROWS = {
     "build-def-cubic-n6-r8": (6, 3, 8),
     # the largest grid the definitional route expands, 10,000 points
@@ -131,11 +139,11 @@ def main(argv=None) -> int:
             result = call()
             times.append(time.process_time() - start)
             walls.append(time.perf_counter() - wall)
-        return (min(times), min(walls)), len(times), result
+        return (min(times), min(walls), times[0]), len(times), result
 
     out = {}
     # build rows last: the grid-limit form sets the process's peak RSS
-    for name, (n, d, r) in {**SELFTEST_ROWS, **ROWS, **EVAL_ROWS, **WIDE_ROWS, **EXCESS_ROWS, **STABLE_ROWS, **BUILD_ROWS}.items():
+    for name, (n, d, r) in {**SELFTEST_ROWS, **ROWS, **COMPILE_ROWS, **EVAL_ROWS, **WIDE_ROWS, **EXCESS_ROWS, **STABLE_ROWS, **BUILD_ROWS}.items():
         f = None if name in SELFTEST_ROWS else row(sx, name, n, d, seed=n * 100 + d * 10 + r)
         if name.startswith("moment"):
             best, repeats, checks = best_of(lambda: [sx.selftest.check_moment_equivalence(4, 8, 6, 10, Random(0))])
@@ -143,6 +151,9 @@ def main(argv=None) -> int:
         elif name in SELFTEST_ROWS:
             best, repeats, checks = best_of(partial(sx.run_selftest, deep=name.endswith("deep")))
             points, text = None, ";".join(f"{check.name}:{check.passed}" for check in checks)
+        elif name in COMPILE_ROWS:
+            best, repeats, kernel = best_of(partial(sx.grid._Kernel, f, r))
+            points, text = sx.grid_size(n, r), f"{kernel.k}:{kernel.limbs}:{kernel.denom}:{kernel.coeffs.tolist()}"
         elif name in BUILD_ROWS:
             best, repeats, f = best_of(partial(built, sx, f, r))
             points, text = sx.grid_size(n, r), ";".join(f"{beta}:{c}" for beta, c in f.terms.items())
@@ -170,7 +181,7 @@ def main(argv=None) -> int:
             points, text = result.evaluations, f"{result.value}:{result.argmin.alpha}"
         out[name] = {
             "n": n, "d": d, "r": r, "terms": None if f is None else len(f.terms), "points": points, "repeats": repeats,
-            "cpu_s": round(best[0], 6), "wall_s": round(best[1], 6), "result": hashlib.sha256(text.encode()).hexdigest()[:16],
+            "cpu_s": round(best[0], 6), "first_cpu_s": round(best[2], 6), "wall_s": round(best[1], 6), "result": hashlib.sha256(text.encode()).hexdigest()[:16],
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
     print(json.dumps(out, indent=1))

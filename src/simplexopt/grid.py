@@ -12,7 +12,9 @@ integer numerators over a common denominator, is evaluated as
 Phi(head) . C . Psi(tail): a point's first k coordinates are its head, the
 rest its tail, C holds the coefficients by head and tail monomial, and each
 total of the heads meets the matching total of the tails in one matrix
-product.  k = 0 streams numpy blocks of index vectors as tails.  An
+product.  The head and tail tables of a grid shape are built once per
+process and kept, read-only, while their entries fit a fixed budget.  k = 0
+streams numpy blocks of index vectors as tails.  An
 a-priori bound decides the arithmetic, the first rung that fits of: one
 float64 matrix, so that every product runs in BLAS; a digit matrix per
 float64 limb under a 2^51 per-limb budget; one int64 matrix; int64 limbs
@@ -24,6 +26,7 @@ see only Python ints.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,7 +133,8 @@ MAX_EXPANDED_POINTS = 10**4
 MAX_GRID_ENTRIES = 10**9
 # A split scan's index tables, with the arrays that build them, hold at most
 # _TABLE_CELLS entries, and so do the monomial rows and G = Phi @ C of the
-# totals built at once; a scan whose tables would not fit streams.
+# totals built at once; a scan whose tables would not fit streams.  The
+# memo of split tables below holds at most _TABLE_CELLS entries in all.
 _TABLE_CELLS = 1 << 21
 # The kernel's arithmetic rungs, in order: (dtype, largest sum |c'| * r^degree
 # of one matrix, per-limb budget); float64 holds every integer up to 2^53.
@@ -232,6 +236,37 @@ def _by_total(k: int, m: int, r: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return (short, table) if k <= m else (table, short)
 
 
+# The split tables (heads, tails) of each grid shape (k, m, r), read-only, in
+# the order they were built: an insert evicts the oldest shapes until the
+# memo's entries fit _TABLE_CELLS, and a shape whose tables alone would not
+# fit is not kept.  Inserts and evictions are serialized; a lookup of a kept
+# shape takes no lock.
+_split_tables: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+_split_tables_lock = threading.Lock()
+
+
+def _shape_tables(k: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """_by_total's (heads, tails) tables for k-vectors and m-vectors of total
+    at most r, in the smallest integer dtype that holds r, from the memo."""
+    shape = k, m, r
+    tables = _split_tables.get(shape)
+    if tables is not None:
+        return tables
+    tables = _by_total(k, m, r, np.min_scalar_type(r))
+    for table in tables:
+        table.flags.writeable = False
+    cells = lambda pair: pair[0].size + pair[1].size
+    if cells(tables) <= _TABLE_CELLS:
+        with _split_tables_lock:
+            if shape in _split_tables:
+                return _split_tables[shape]
+            held = sum(map(cells, _split_tables.values()))
+            while held + cells(tables) > _TABLE_CELLS:
+                held -= cells(_split_tables.pop(next(iter(_split_tables))))
+            _split_tables[shape] = tables
+    return tables
+
+
 def _monomials(points: np.ndarray, variables: np.ndarray, factors: np.ndarray, dtype) -> np.ndarray:
     """(monomials, columns) array of every monomial at every column x of
     points: row q of factors lists the variables of monomial q, each as often
@@ -244,15 +279,16 @@ def _monomials(points: np.ndarray, variables: np.ndarray, factors: np.ndarray, d
     return out
 
 
-def _split(n: int, r: int, terms: list[MultiIndex], limbs: int) -> int:
-    """The head length of a scan: n // 2 when n >= 4 and its index tables
-    fit _TABLE_CELLS, else 0.  With n <= 3 the head is one coordinate, so
-    each total has a single head, and the split would pay per total for a
-    matrix-vector product that streaming does as one product per block."""
+def _split(n: int, r: int, q: int, p: int, limbs: int) -> int:
+    """The head length of a scan: n // 2 when n >= 4 and its index tables,
+    with C's q distinct head monomials by p distinct tail monomials at that
+    split in every limb, fit _TABLE_CELLS, else 0.  With n <= 3 the head is
+    one coordinate, so each total has a single head, and the split would pay
+    per total for a matrix-vector product that streaming does as one product
+    per block."""
     if n < 4:
         return 0
     k, m = n // 2, n - n // 2
-    q, p = len(dict.fromkeys(b[:k] for b in terms)), len(dict.fromkeys(b[k:] for b in terms))
     # the head table is kept while the tail table is built: the shorter
     # table, the row of totals over it and its reordering, then the table
     return k if k * comb(r + k, k) + 4 * m * comb(r + m, m) + limbs * q * p <= _TABLE_CELLS else 0
@@ -271,7 +307,8 @@ class _Kernel:
     f(head, tail) = Phi(head) . C . Psi(tail), Phi and Psi the monomial
     rows.  The heads of total t meet the tails of total r - t in one matrix
     product of rows of G = Phi @ C with columns of Psi, both built once for
-    each run of totals that fits _TABLE_CELLS (a larger total in tiles).
+    each run of totals that fits _TABLE_CELLS (a larger total in tiles); the
+    head and tail index tables come from the memo (_shape_tables).
     k = 0 streams the grid's blocks as the tails of one empty head, whose G
     is C.  Products fill a buffer of _BLOCK_CELLS entries, a chunk.
 
@@ -311,9 +348,13 @@ class _Kernel:
                 self.dtype, self.shift = dtype, shift
                 self.limbs = -(-max(map(abs, terms.values())).bit_length() // shift)
                 break
-        self.k = k = _split(n, r, list(terms), self.limbs)
-        heads = {h: i for i, h in enumerate(dict.fromkeys(b[:k] for b in terms))}
-        tails = {t: j for j, t in enumerate(dict.fromkeys(b[k:] for b in terms))}
+        # the distinct head and tail monomials, at the split _split weighs
+        half = n // 2
+        heads, tails = dict.fromkeys(b[:half] for b in terms), dict.fromkeys(b[half:] for b in terms)
+        self.k = k = _split(n, r, len(heads), len(tails), self.limbs)
+        if k != half:
+            heads, tails = dict.fromkeys(b[:k] for b in terms), dict.fromkeys(b[k:] for b in terms)
+        heads, tails = ({m: i for i, m in enumerate(monomials)} for monomials in (heads, tails))
         self.factors = []
         for monomials in (heads, tails):
             variables = sorted({i for m in monomials for i, e in enumerate(m) if e})
@@ -336,7 +377,7 @@ class _Kernel:
         psi = lambda tails: _monomials(tails, *self.factors[1], self.dtype)
         none = np.zeros((0, 1), np.min_scalar_type(r))
         if k:
-            heads, tails = _by_total(k, n - k, r, none.dtype)
+            heads, tails = _shape_tables(k, n - k, r)
             h, t = (list(accumulate([0] + [comb(s + j - 1, s) for s in range(r + 1)])) for j in (k, n - k))
             # totals s..end - 1 share one G and one Psi while they fit half of
             # _TABLE_CELLS each; a total that does not fit is cut in tiles

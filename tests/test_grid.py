@@ -1,5 +1,6 @@
 from fractions import Fraction
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from itertools import islice, zip_longest
 from random import Random
@@ -288,6 +289,18 @@ def general_polynomials(draw):
     return GeneralPolynomial(n, {beta: draw(coefficients(big)) for beta in support})
 
 
+@pytest.fixture
+def cold_split_tables(monkeypatch):
+    """An empty memo of split tables for the test, so it sees every table
+    a scan builds, whatever scans ran before it."""
+    monkeypatch.setattr(grid_module, "_split_tables", {})
+    return grid_module._split_tables
+
+
+def memo_cells():
+    return sum(h.size + t.size for h, t in grid_module._split_tables.values())
+
+
 def spy_table_lookups(monkeypatch):
     """Record (m, s) for every table the stream builds, of every m-vector of
     total at most s, and for every whole piece written in closed form; a
@@ -340,7 +353,7 @@ class TestBlockKernel:
         assert all(a == b for a, b in zip_longest(columns, enumerate_grid(n, r)))
 
     @pytest.mark.parametrize("n, r, block_rows", [(1000, 2, _BLOCK_ROWS), (300, 1, 64)])
-    def test_wide_total_one_pieces_are_sliced_in_order(self, monkeypatch, n, r, block_rows):
+    def test_wide_total_one_pieces_are_sliced_in_order(self, monkeypatch, cold_split_tables, n, r, block_rows):
         # an (m, 1) piece wider than a block is written in closed form, not
         # built as a table nor split into single points
         monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
@@ -378,7 +391,7 @@ class TestBlockKernel:
         assert np.hstack(end)[:, -head:].T.tolist() == last_points(n, r, head)
 
     @pytest.mark.parametrize("n, r, block_rows", [(2, 5000, _BLOCK_ROWS), (3, 200, 64), (4, 40, 16)])
-    def test_wide_two_slot_pieces_are_sliced_in_order(self, monkeypatch, n, r, block_rows):
+    def test_wide_two_slot_pieces_are_sliced_in_order(self, monkeypatch, cold_split_tables, n, r, block_rows):
         # a (2, s) piece wider than a block is written in closed form, not
         # split into single points
         monkeypatch.setattr(grid_module, "_BLOCK_ROWS", block_rows)
@@ -790,7 +803,7 @@ class TestSplitKernel:
         assert _Kernel(f, r).k == 0
 
     @pytest.mark.parametrize("n, r", [(72, 3), (80, 3), (5, 31), (10, 20)])
-    def test_split_tables_stay_within_their_budget(self, monkeypatch, n, r):
+    def test_split_tables_stay_within_their_budget(self, monkeypatch, cold_split_tables, n, r):
         # the head table is kept while the tail table is built; the two,
         # with the arrays that build them, fit _TABLE_CELLS entries, and a
         # split whose tables would not fit streams instead.  The stream's
@@ -819,3 +832,120 @@ class TestSplitKernel:
         budget = grid_module._TABLE_CELLS if kernel.k else _BLOCK_CELLS
         assert max(peaks) <= budget * itemsize
 
+
+def scan_cold(f, r):
+    """scan_both with the memo of split tables emptied before each scan."""
+    lo_hi = []
+    for scan in (grid_minimize, grid_maximize):
+        grid_module._split_tables.clear()
+        result = scan(f, r)
+        lo_hi.append((result.value, result.argmin.alpha))
+    return tuple(lo_hi)
+
+
+class TestSplitTableMemo:
+    @pytest.mark.parametrize("k, m, r", [(1, 1, 5), (2, 2, 6), (2, 3, 7), (1, 2, 300)])
+    def test_a_hit_equals_a_fresh_build(self, cold_split_tables, k, m, r):
+        dtype = np.min_scalar_type(r)
+        built = grid_module._shape_tables(k, m, r)
+        assert cold_split_tables[(k, m, r)] is built
+        hit = grid_module._shape_tables(k, m, r)
+        assert hit is built
+        for kept, fresh in zip(hit, grid_module._by_total(k, m, r, dtype)):
+            assert kept.dtype == fresh.dtype == dtype
+            assert np.array_equal(kept, fresh)
+
+    def test_a_scan_keeps_its_shape(self, cold_split_tables):
+        f = parse_polynomial("x1^2 - 3*x1*x6 + x6^2 + x2*x5", 6)
+        kernel = _Kernel(f, 7)
+        assert kernel.k == 3 and not cold_split_tables
+        grid_minimize(f, 7)
+        heads, tails = cold_split_tables[(3, 3, 7)]
+        fresh = grid_module._by_total(3, 3, 7, np.min_scalar_type(7))
+        assert np.array_equal(heads, fresh[0]) and np.array_equal(tails, fresh[1])
+
+    def test_kept_tables_are_read_only(self, cold_split_tables):
+        grid_minimize(parse_polynomial("x1*x4 - x2^2", 4), 5)
+        (heads, tails), = cold_split_tables.values()
+        for table in (heads, tails):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+            with pytest.raises(ValueError):
+                table[:, 1:] += 1
+
+    def test_scans_past_the_budget_keep_at_most_its_entries(self, monkeypatch, cold_split_tables):
+        # small enough that a few split shapes overflow it, large enough
+        # that each of them splits
+        monkeypatch.setattr(grid_module, "_TABLE_CELLS", 4000)
+        built = []
+        by_total = grid_module._by_total
+
+        def counted(k, m, r, dtype):
+            tables = by_total(k, m, r, dtype)
+            built.append(tables[0].size + tables[1].size)
+            return tables
+
+        monkeypatch.setattr(grid_module, "_by_total", counted)
+        for n, r in [(4, 26), (4, 25), (5, 10), (4, 24), (6, 5), (4, 26)]:
+            f = parse_polynomial(f"x1^2 - 3*x1*x{n} + x{n}^2", n)
+            assert _Kernel(f, r).k == n // 2
+            grid_minimize(f, r)
+            assert memo_cells() <= 4000
+            # the newest shape is kept
+            assert list(cold_split_tables)[-1] == (n // 2, n - n // 2, r)
+        assert sum(built) > 4000 and len(cold_split_tables) < len(built)
+
+    def test_the_memo_keeps_at_most_its_budget(self, cold_split_tables):
+        # at the real budget: four shapes of 0.5-1M entries each evict the
+        # oldest, and a shape of 2.8M entries is not kept at all
+        cells = grid_module._TABLE_CELLS
+        shapes = [(5, 5, 20), (5, 5, 21), (5, 5, 22), (5, 5, 23)]
+        for shape in shapes:
+            grid_module._shape_tables(*shape)
+            assert memo_cells() <= cells
+            assert list(cold_split_tables)[-1] == shape
+        assert sum(2 * 5 * comb(r + 5, 5) for _, _, r in shapes) > cells
+        assert shapes[0] not in cold_split_tables
+        kept = dict(cold_split_tables)
+        heads, tails = grid_module._shape_tables(6, 6, 20)
+        assert heads.size + tails.size > cells
+        assert not heads.flags.writeable and not tails.flags.writeable
+        assert cold_split_tables == kept
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=split_cases(),
+        tables=st.sampled_from([2, 40, 400, grid_module._TABLE_CELLS]),
+        data=st.data(),
+    )
+    def test_warm_and_cold_memos_give_the_same_extrema(self, case, tables, data):
+        # on every rung, at every head length, with tables kept, evicted
+        # and not kept at all
+        f, r = case
+        k = data.draw(st.integers(0, f.n - 1), label="k")
+        kept = k and tables == grid_module._TABLE_CELLS
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "_split", lambda *args: k)
+            patch.setattr(grid_module, "_TABLE_CELLS", tables)
+            patch.setattr(grid_module, "_split_tables", {})
+            cold = scan_cold(f, r)
+            if kept:
+                assert (k, f.n - k, r) in grid_module._split_tables
+            assert scan_both(f, r) == cold
+            assert scan_both(f, r) == cold
+
+    def test_threads_agree_with_serial_scans(self, monkeypatch, cold_split_tables):
+        # a budget that a few shapes overflow, so threads insert and evict
+        # while others read
+        monkeypatch.setattr(grid_module, "_TABLE_CELLS", 6000)
+        rng = Random(23)
+        jobs = []
+        for n, r in [(4, 6), (5, 5), (6, 4), (7, 3), (4, 9), (5, 7), (6, 5), (8, 3)]:
+            for _ in range(3):
+                jobs.append((random_polynomial(rng, n, rng.randint(1, 3), max_terms=8), r))
+        serial = [scan_cold(f, r) for f, r in jobs]
+        cold_split_tables.clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda job: scan_both(*job), jobs * 3))
+        assert threaded == serial * 3
+        assert memo_cells() <= 6000
