@@ -4,8 +4,11 @@ One subcommand per invocation; exact rationals are printed as "p/q" (JSON
 mode) with a 6-significant-digit decimal alongside in text mode.  JSON output
 is byte-stable across identical invocations: no timestamps, sorted keys.
 
+Each subcommand handler returns its JSON payload and its text lines, and
+prints nothing: `main` alone prints one of the two and picks the exit code.
+
 Exit codes: 0 success, 2 input error, 3 precondition violation, 4 internal
-invariant failure.
+invariant failure or a failed self-test check.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from random import Random
@@ -52,12 +56,13 @@ class _InternalError(Exception):
     pass
 
 
-def _rat_text(v: Fraction) -> str:
+def _decimal(v: Fraction) -> str:
+    """v to 6 significant digits, the decimal that text mode prints beside v's p/q."""
     if v and not 2.0**-1074 <= abs(v) <= sys.float_info.max:
         # past float range: round the exact value, a Decimal's exponent is unbounded
         exact = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
-        return f"{_rat(v)} ({exact.divide(v.numerator, v.denominator).normalize(exact):.6g})"
-    return f"{_rat(v)} ({float(v):.6g})"
+        return f"{exact.divide(v.numerator, v.denominator).normalize(exact):.6g}"
+    return f"{float(v):.6g}"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -85,33 +90,29 @@ def _parse_range(text: str) -> RangeInput:
     return exact_range(bounds[0], bounds[1])
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _terms_json(poly: HomogeneousPolynomial | GeneralPolynomial) -> list[dict]:
     keys = sorted(poly.terms, key=lambda b: (sum(b), b))
     return [{"exponents": list(b), "coefficient": _rat(poly.terms[b])} for b in keys]
 
 
-def _terms_text(poly: HomogeneousPolynomial | GeneralPolynomial) -> list[str]:
-    keys = sorted(poly.terms, key=lambda b: (sum(b), b))
-    return [f"  x^{tuple(b)}: {_rat_text(poly.terms[b])}" for b in keys]
+def _terms_text(poly: HomogeneousPolynomial | GeneralPolynomial, terms: list[dict]) -> str:
+    """One line a term of `terms`, poly's `_terms_json`, reusing its p/q strings;
+    an empty form still prints its (empty) line."""
+    keys = (tuple(term["exponents"]) for term in terms)
+    return "\n".join(f"  x^{b}: {term['coefficient']} ({_decimal(poly.terms[b])})" for b, term in zip(keys, terms))
 
 
-def _certificate_text(cert: BoundCertificate) -> list[str]:
-    lines = [
-        f"theorem:     {cert.theorem}",
-        f"n, d, r:     {cert.n}, {cert.d}, {cert.r}",
-        f"grid value:  {_rat_text(cert.grid_value)}",
-        f"bound value: {_rat_text(cert.bound_value)}",
-        f"range:       [{_rat(cert.range.lower)}, {_rat(cert.range.upper)}] ({cert.range.provenance})",
-        f"gap:         {_rat_text(cert.gap)}",
-        f"satisfied:   {cert.satisfied}",
-    ]
+def _certificate_text(cert: BoundCertificate, shown: dict) -> Iterator[str]:
+    """cert's text lines, around the p/q strings of `shown`, its `to_json_dict()`."""
+    yield f"theorem:     {cert.theorem}"
+    yield f"n, d, r:     {cert.n}, {cert.d}, {cert.r}"
+    yield f"grid value:  {shown['grid_value']} ({_decimal(cert.grid_value)})"
+    yield f"bound value: {shown['bound_value']} ({_decimal(cert.bound_value)})"
+    yield f"range:       [{shown['range']['lower']}, {shown['range']['upper']}] ({cert.range.provenance})"
+    yield f"gap:         {shown['gap']} ({_decimal(cert.gap)})"
+    yield f"satisfied:   {cert.satisfied}"
     if cert.ratio is not None:
-        lines.append(f"ratio:       {_rat_text(cert.ratio)}")
-    return lines
+        yield f"ratio:       {shown['ratio']} ({_decimal(cert.ratio)})"
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +120,42 @@ def _certificate_text(cert: BoundCertificate) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_grid_min(args: argparse.Namespace) -> int:
+# Each handler returns (payload, lines): the dict that --json prints, and the
+# text lines, made lazily from the payload's p/q strings, so that each mode
+# formats only what it prints.
+_Output = tuple[dict, Iterator[str]]
+
+
+def _cmd_grid_min(args: argparse.Namespace) -> _Output:
     f = parse_polynomial(args.polynomial, args.n)
     scan = grid_maximize if args.max else grid_minimize
     start = perf_counter()
     gm = scan(f, args.r)
     elapsed = perf_counter() - start
     mode = "max" if args.max else "min"
-    if args.json:
-        _emit_json(
-            {
-                "command": "grid-min",
-                "mode": mode,
-                "n": f.n,
-                "r": args.r,
-                "value": _rat(gm.value),
-                "argmin": {
-                    "alpha": list(gm.argmin.alpha),
-                    "point": [_rat(c) for c in gm.argmin.coordinates()],
-                },
-                "evaluations": gm.evaluations,
-            }
-        )
-    else:
-        print(f"grid {mode} over order-{args.r} grid, n={f.n}")
-        print(f"value:       {_rat_text(gm.value)}")
-        print(f"argmin:      alpha={tuple(gm.argmin.alpha)}  point=({', '.join(_rat(c) for c in gm.argmin.coordinates())})")
-        print(f"evaluations: {gm.evaluations}")
-        print(f"wall time:   {elapsed:.3f} s")
-    return 0
+    payload = {
+        "command": "grid-min",
+        "mode": mode,
+        "n": f.n,
+        "r": args.r,
+        "value": _rat(gm.value),
+        "argmin": {
+            "alpha": list(gm.argmin.alpha),
+            "point": [_rat(c) for c in gm.argmin.coordinates()],
+        },
+        "evaluations": gm.evaluations,
+    }
+
+    def lines() -> Iterator[str]:
+        yield f"grid {mode} over order-{args.r} grid, n={f.n}"
+        yield f"value:       {payload['value']} ({_decimal(gm.value)})"
+        yield f"argmin:      alpha={tuple(gm.argmin.alpha)}  point=({', '.join(payload['argmin']['point'])})"
+        yield f"evaluations: {gm.evaluations}"
+        yield f"wall time:   {elapsed:.3f} s"
+    return payload, lines()
 
 
-def _cmd_bernstein(args: argparse.Namespace) -> int:
+def _cmd_bernstein(args: argparse.Namespace) -> _Output:
     f = parse_polynomial(args.polynomial, args.n)
     point = _parse_rational_list(args.eval, "evaluation point") if args.eval else None
     if point is not None:  # off the simplex the routes' forms differ
@@ -177,70 +182,67 @@ def _cmd_bernstein(args: argparse.Namespace) -> int:
         payload["reduced_terms"] = _terms_json(reduced)
     if value is not None:
         payload["eval"] = {"point": [_rat(c) for c in point], "value": _rat(value)}
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"Bernstein approximation of order {args.r} (route: {args.route})")
+
+    def lines() -> Iterator[str]:
+        yield f"Bernstein approximation of order {args.r} (route: {args.route})"
         if homogeneous is not None:
-            print(f"degree-{args.r} homogeneous form ({len(homogeneous.terms)} terms):")
-            print("\n".join(_terms_text(homogeneous)))
+            yield f"degree-{args.r} homogeneous form ({len(homogeneous.terms)} terms):"
+            yield _terms_text(homogeneous, payload["homogeneous_terms"])
         if reduced is not None:
-            print(f"reduced simplex form (degree <= {f.d}):")
-            print("\n".join(_terms_text(reduced)))
+            yield f"reduced simplex form (degree <= {f.d}):"
+            yield _terms_text(reduced, payload["reduced_terms"])
         if value is not None:
-            print(f"value at ({', '.join(_rat(c) for c in point)}): {_rat_text(value)}")
-    return 0
+            yield f"value at ({', '.join(payload['eval']['point'])}): {payload['eval']['value']} ({_decimal(value)})"
+    return payload, lines()
 
 
 _THEOREM_FLAGS = {entry.flag: name for name, entry in THEOREMS.items()}
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> _Output:
     f = parse_polynomial(args.polynomial, args.n)
     theorem = _select_theorem(f) if args.theorem == "auto" else _THEOREM_FLAGS[args.theorem]
     rng_input = coefficient_range(f) if args.range == "auto" else _parse_range(args.range)
     certs = THEOREMS[theorem].certificates(f, args.r, rng_input)
-    if args.json:
-        _emit_json({"command": "bound", "certificates": [c.to_json_dict() for c in certs]})
-    else:
-        for i, cert in enumerate(certs):
+    payload = {"command": "bound", "certificates": [c.to_json_dict() for c in certs]}
+
+    def lines() -> Iterator[str]:
+        for i, (cert, shown) in enumerate(zip(certs, payload["certificates"])):
             if i:
-                print()
-            print("\n".join(_certificate_text(cert)))
-    return 0
+                yield ""
+            yield from _certificate_text(cert, shown)
+    return payload, lines()
 
 
-def _cmd_ptas(args: argparse.Namespace) -> int:
+def _cmd_ptas(args: argparse.Namespace) -> _Output:
     f = parse_polynomial(args.polynomial, args.n)
     epsilon = _parse_rational(args.epsilon, "accuracy")
     rng_input = _parse_range(args.range) if args.range is not None else None
     point, value, cert = ptas_approximate(f, epsilon, rng_input)
-    if args.json:
-        _emit_json(
-            {
-                "command": "ptas",
-                "epsilon": _rat(epsilon),
-                "theorem": cert.theorem,
-                "r": cert.r,
-                "point": {
-                    "alpha": list(point.alpha),
-                    "coordinates": [_rat(c) for c in point.coordinates()],
-                },
-                "value": _rat(value),
-                "certificate": cert.to_json_dict(),
-            }
-        )
-    else:
-        print(f"accuracy target: {_rat(epsilon)}")
-        print(f"bound family:    {cert.theorem}")
-        print(f"grid order r:    {cert.r}")
-        print(f"point:           alpha={tuple(point.alpha)}  x=({', '.join(_rat(c) for c in point.coordinates())})")
-        print(f"value:           {_rat_text(value)}")
-        print("\n".join(_certificate_text(cert)))
-    return 0
+    payload = {
+        "command": "ptas",
+        "epsilon": _rat(epsilon),
+        "theorem": cert.theorem,
+        "r": cert.r,
+        "point": {
+            "alpha": list(point.alpha),
+            "coordinates": [_rat(c) for c in point.coordinates()],
+        },
+        "value": _rat(value),
+        "certificate": cert.to_json_dict(),
+    }
+
+    def lines() -> Iterator[str]:
+        yield f"accuracy target: {payload['epsilon']}"
+        yield f"bound family:    {cert.theorem}"
+        yield f"grid order r:    {cert.r}"
+        yield f"point:           alpha={tuple(point.alpha)}  x=({', '.join(payload['point']['coordinates'])})"
+        yield f"value:           {payload['value']} ({_decimal(value)})"
+        yield from _certificate_text(cert, payload["certificate"])
+    return payload, lines()
 
 
-def _cmd_moments(args: argparse.Namespace) -> int:
+def _cmd_moments(args: argparse.Namespace) -> _Output:
     beta = _parse_int_list(args.beta, "moment order")
     x = _parse_rational_list(args.x, "distribution")
     direct = moment_direct(args.n, args.r, beta, x)
@@ -249,28 +251,26 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise _InternalError(
             f"moment mismatch for beta={beta}: direct={_rat(direct)} stirling={_rat(closed)}"
         )
-    if args.json:
-        _emit_json(
-            {
-                "command": "moments",
-                "n": args.n,
-                "r": args.r,
-                "beta": list(beta),
-                "x": [_rat(v) for v in x],
-                "direct": _rat(direct),
-                "stirling": _rat(closed),
-                "equal": True,
-            }
-        )
-    else:
-        print(f"moment of order {tuple(beta)} with r={args.r} trials")
-        print(f"binomial chain:     {_rat_text(direct)}")
-        print(f"Stirling form:      {_rat_text(closed)}")
-        print("routes agree exactly")
-    return 0
+    payload = {
+        "command": "moments",
+        "n": args.n,
+        "r": args.r,
+        "beta": list(beta),
+        "x": [_rat(v) for v in x],
+        "direct": _rat(direct),
+        "stirling": _rat(closed),
+        "equal": True,
+    }
+
+    def lines() -> Iterator[str]:
+        yield f"moment of order {tuple(beta)} with r={args.r} trials"
+        yield f"binomial chain:     {payload['direct']} ({_decimal(direct)})"
+        yield f"Stirling form:      {payload['stirling']} ({_decimal(closed)})"
+        yield "routes agree exactly"
+    return payload, lines()
 
 
-def _cmd_stable_set(args: argparse.Namespace) -> int:
+def _cmd_stable_set(args: argparse.Namespace) -> _Output:
     try:
         with open(args.graphfile, encoding="utf-8") as handle:
             adjacency = parse_graph(handle.read())
@@ -279,48 +279,43 @@ def _cmd_stable_set(args: argparse.Namespace) -> int:
     n = len(adjacency)
     brute = brute_force_stable_set_number(adjacency) if args.brute else None
     alpha_lower, f_grid, cert = stable_set_bounds(adjacency, args.r)
-    if args.json:
-        payload = {
-            "command": "stable-set",
-            "n": n,
-            "r": args.r,
-            "grid_value": _rat(f_grid),
-            "alpha_lower": alpha_lower,
-            "certificate": cert.to_json_dict(),
-        }
+    payload = {
+        "command": "stable-set",
+        "n": n,
+        "r": args.r,
+        "grid_value": _rat(f_grid),
+        "alpha_lower": alpha_lower,
+        "certificate": cert.to_json_dict(),
+    }
+    if brute is not None:
+        payload["alpha_exact"] = brute
+
+    def lines() -> Iterator[str]:
+        yield f"graph on {n} vertices, order-{args.r} grid"
+        yield f"grid minimum of the stable-set form: {payload['grid_value']} ({_decimal(f_grid)})"
+        yield f"stable-set number lower bound:       {alpha_lower}"
         if brute is not None:
-            payload["alpha_exact"] = brute
-        _emit_json(payload)
-    else:
-        print(f"graph on {n} vertices, order-{args.r} grid")
-        print(f"grid minimum of the stable-set form: {_rat_text(f_grid)}")
-        print(f"stable-set number lower bound:       {alpha_lower}")
-        if brute is not None:
-            print(f"stable-set number (brute force):     {brute}")
-        print("\n".join(_certificate_text(cert)))
-    return 0
+            yield f"stable-set number (brute force):     {brute}"
+        yield from _certificate_text(cert, payload["certificate"])
+    return payload, lines()
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> _Output:
     results = run_selftest(deep=args.deep, seed=args.seed)
-    if args.json:
-        _emit_json(
-            {
-                "command": "selftest",
-                "deep": args.deep,
-                "checks": [
-                    {"name": res.name, "passed": res.passed, "detail": res.detail()}
-                    for res in results
-                ],
-                "passed": all(res.passed for res in results),
-            }
-        )
-    else:
-        for res in results:
-            mark = "ok  " if res.passed else "FAIL"
-            detail = f": {res.detail()}" if not res.passed else ""
-            print(f"{mark} {res.name}{detail}")
-    return 0 if all(res.passed for res in results) else 4
+    payload = {
+        "command": "selftest",
+        "deep": args.deep,
+        "checks": [
+            {"name": res.name, "passed": res.passed, "detail": res.detail()}
+            for res in results
+        ],
+        "passed": all(res.passed for res in results),
+    }
+    lines = (
+        f"ok   {check['name']}" if check["passed"] else f"FAIL {check['name']}: {check['detail']}"
+        for check in payload["checks"]
+    )
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(lines))
     except (_InputError, ParseError, OSError) as exc:  # ahead of ValueError: a ParseError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -413,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 4 if payload.get("passed") is False else 0  # "passed" false: a failed self-test check
 
 
 if __name__ == "__main__":

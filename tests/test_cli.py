@@ -427,6 +427,18 @@ class TestSelftest:
         assert payload["passed"] is True
         assert all(check["passed"] for check in payload["checks"])
 
+    def test_a_failed_check_exits_four_in_both_modes(self, capsys, monkeypatch):
+        import simplexopt.selftest as selftest_module
+        from simplexopt.selftest import CheckResult
+
+        failed = CheckResult("surjection count", False, ["S(3,2) = 3 but 4"])
+        monkeypatch.setattr(selftest_module, "check_surjections", lambda *args: failed)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 4 and "FAIL surjection count: S(3,2) = 3 but 4" in out.splitlines()
+        code, payload, _ = run_json(capsys, "selftest")
+        assert code == 4 and payload["passed"] is False
+        assert {"name": "surjection count", "passed": False, "detail": "S(3,2) = 3 but 4"} in payload["checks"]
+
 
 def _collect_rational_strings(node, found):
     if isinstance(node, dict):
@@ -550,3 +562,21 @@ def test_json_output_matches_golden_capture(capsys, tmp_path, case):
     argv = [str(graph) if a == "{graph}" else a for a in case["argv"]]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == case["stdout"]
+
+
+TEXT_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_text_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", TEXT_GOLDEN["cases"], ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(TEXT_GOLDEN["cases"])]
+)
+def test_text_output_matches_golden_capture(capsys, tmp_path, case):
+    # the text stdout of a fixed command set, captured before the handlers
+    # returned their lines to main; grid-min's wall time varies, so that
+    # line is dropped, and every other byte must stay the same
+    graph = tmp_path / "graph.txt"
+    graph.write_text(TEXT_GOLDEN["graph"])
+    argv = [str(graph) if a == "{graph}" else a for a in case["argv"]]
+    code, out, _ = run(capsys, *argv)
+    kept = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("wall time:"))
+    assert code == 0 and kept == case["stdout"]
