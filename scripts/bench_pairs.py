@@ -11,8 +11,8 @@ first on odd i, one process at a time.  The output holds, per workload,
 every pair's metrics, `failed` count, job count and tail percentile for both
 sides, and per metric the medians and quartiles of both sides and the number
 of pairs the change won; the `job_cpu_tail_s` entry also lists each side's
-tail percentiles.  `job_cpu_tail_s` is the p95 job of a run below 10,000
-timed jobs and the p99.9 job at 10,000 or more, so a pair whose two runs
+tail percentiles.  `job_cpu_tail_s` is the p95 job of a run below 10,001
+timed jobs and the p99.9 job at 10,001 or more, so a pair whose two runs
 take different percentiles compares different jobs: each such pair prints
 a warning line to standard error.  After each workload, one verdict line per
 end-to-end metric of BENCHMARK.json goes to standard error, and into that

@@ -34,6 +34,7 @@ from .grid import MAX_GRID_POINTS, GridMinimum, GridPoint, _require_order
 from .grid import grid_maximize, grid_minimize
 from .polynomial import (
     HomogeneousPolynomial,
+    _format_rational,
     _rat,
     coefficient_range_bounds,
     is_square_free,
@@ -67,7 +68,7 @@ class RangeInput:
         object.__setattr__(self, "lower", Fraction(self.lower))
         object.__setattr__(self, "upper", Fraction(self.upper))
         if self.lower > self.upper:
-            raise ValueError(f"range lower {self.lower} exceeds upper {self.upper}")
+            raise ValueError(f"range lower {_format_rational(self.lower)} exceeds upper {_format_rational(self.upper)}")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
@@ -183,11 +184,13 @@ def _refute_exact_range(f: HomogeneousPolynomial, rng: RangeInput, grid_value: F
     vertex = _largest_vertex_value(f)
     if not low <= rng.lower <= grid_value:
         raise ValueError(
-            f"asserted minimum {rng.lower} is refuted: the minimum lies in [{low}, {grid_value}]"
+            f"asserted minimum {_format_rational(rng.lower)} is refuted: the minimum lies in "
+            f"[{_format_rational(low)}, {_format_rational(grid_value)}]"
         )
     if not vertex <= rng.upper <= high:
         raise ValueError(
-            f"asserted maximum {rng.upper} is refuted: the maximum lies in [{vertex}, {high}]"
+            f"asserted maximum {_format_rational(rng.upper)} is refuted: the maximum lies in "
+            f"[{_format_rational(vertex)}, {_format_rational(high)}]"
         )
 
 
@@ -330,7 +333,7 @@ def min_grid_order(d: int, epsilon: Fraction, theorem: str) -> int:
     scan accepts in two or more variables."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
-        raise ValueError(f"accuracy must be positive, got {epsilon}")
+        raise ValueError(f"accuracy must be positive, got {_format_rational(epsilon)}")
     if theorem not in THEOREMS:
         raise ValueError(f"unknown bound family {theorem!r}")
     entry = THEOREMS[theorem]
@@ -339,7 +342,7 @@ def min_grid_order(d: int, epsilon: Fraction, theorem: str) -> int:
     while entry.factor(hi, d) > epsilon:
         if hi >= MAX_GRID_POINTS:
             raise ValueError(
-                f"accuracy {epsilon} needs a grid order above {MAX_GRID_POINTS}, whose grid in two or more "
+                f"accuracy {_format_rational(epsilon)} needs a grid order above {MAX_GRID_POINTS}, whose grid in two or more "
                 f"variables has more than {MAX_GRID_POINTS} points, the most a scan accepts"
             )
         lo, hi = hi, min(2 * hi, MAX_GRID_POINTS)
@@ -368,7 +371,7 @@ def ptas_approximate(
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
-        raise ValueError(f"accuracy must lie in (0, 1], got {epsilon}")
+        raise ValueError(f"accuracy must lie in (0, 1], got {_format_rational(epsilon)}")
     chosen = _select_theorem(f)
     r = min_grid_order(f.d, epsilon, chosen)
     gm = grid_minimize(f, r)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Context
@@ -65,8 +66,18 @@ def _decimal(v: Fraction) -> str:
     return f"{float(v):.6g}"
 
 
+# Fraction expands a decimal exponent e to 10**e before any check, so one
+# past the digits int() writes by default is refused first, at a bound the
+# environment cannot lift.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent past {_MAX_EXPONENT} in magnitude")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"cannot parse {what} {text!r}: {exc}") from exc

@@ -16,6 +16,7 @@ are safe to share between workers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -144,15 +145,19 @@ Polynomial = Union[HomogeneousPolynomial, GeneralPolynomial]
 # ---------------------------------------------------------------------------
 # Parsing and printing
 #
-# Grammar (whitespace ignored everywhere):
+# Grammar, over the tokens of _TOKEN:
 #   poly   := term (('+'|'-') term)*        leading '-' negates the first term
 #   term   := [coeff '*'] factor ('*' factor)*  |  coeff
 #   coeff  := integer | integer '/' positive-integer
 #   factor := 'x' index ['^' positive-integer]
-# Variables are 1-indexed x1..xn.
+# An integer is a run of decimal digits (str.isdecimal, so Arabic-Indic
+# digits are read); a digit that is not decimal, such as '²', or a run that
+# int() refuses is an unreadable integer literal.  Whitespace between tokens
+# is ignored, variables are 1-indexed x1..xn, and positions are 0-based
+# offsets into the text.
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^")
+_TOKEN = re.compile(r"\s*((\d+)|\S)")
 
 # Each parsed term, and each of a graph's n + m stable-set terms, holds an
 # n-long exponent vector, so terms times n is capped before one is allocated;
@@ -162,135 +167,38 @@ MAX_TERM_ENTRIES = 10**6
 MAX_DEGREE = 200
 
 
+def _digit_run(text: str, i: int) -> ParseError:
+    """The error for the run of str.isdigit characters at i."""
+    j = i
+    while j < len(text) and text[j].isdigit():
+        j += 1
+    return ParseError(f"unreadable integer literal of {j - i} digits", i)
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Return (kind, value, position) triples; kind is 'int' or the operator
-    character itself ('x' included), value is meaningful for 'int' only."""
-    tokens: list[tuple[str, int, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
+    """(kind, value, position) triples ending in ('end', 0, len(text)); kind
+    is 'int' or the character itself, one of '+-*/^x', and value is
+    meaningful for 'int' only."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tok, digits = m.groups()
+        i = m.start(1)
+        if digits:
+            j = m.end()
+            if j < len(text) and text[j].isdigit():  # runs on into a non-decimal digit, as in '12²'
+                raise _digit_run(text, i)
             try:
-                value = int(text[i:j])
-            except ValueError:  # more digits than int() accepts, or non-ASCII digits
-                raise ParseError(f"unreadable integer literal of {j - i} digits", i) from None
-            tokens.append(("int", value, i))
-            i = j
-        elif ch in _OPS or ch == "x":
-            tokens.append((ch, 0, i))
-            i += 1
+                tokens.append(("int", int(digits), i))
+            except ValueError:  # more digits than int() accepts
+                raise _digit_run(text, i) from None
+        elif tok in "+-*/^x":
+            tokens.append((tok, 0, i))
+        elif tok.isdigit():
+            raise _digit_run(text, i)
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {tok!r}", i)
+    tokens.append(("end", 0, len(text)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, n: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.n = n
-        self.end = len(text)
-        self.entries = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def here(self) -> int:
-        return self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end
-
-    def expect_int(self, what: str) -> tuple[int, int]:
-        if self.peek() != "int":
-            raise ParseError(f"expected {what}", self.here())
-        _, value, pos = self.take()
-        return value, pos
-
-    def parse(self) -> tuple[dict[MultiIndex, Fraction], int]:
-        if not self.tokens:
-            raise ParseError("empty polynomial", 0)
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        terms: dict[MultiIndex, Fraction] = {}
-        degree: int | None = None
-        while True:
-            coeff, exps, start = self.parse_term()
-            td = sum(exps)
-            if degree is None:
-                degree = td
-            elif td != degree:
-                raise ParseError(
-                    f"mixed degrees: term of degree {td} after degree {degree}", start
-                )
-            terms[exps] = terms.get(exps, Fraction(0)) + sign * coeff
-            nxt = self.peek()
-            if nxt is None:
-                break
-            if nxt == "+":
-                sign = 1
-            elif nxt == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-'", self.here())
-            self.take()
-        return {b: c for b, c in terms.items() if c}, degree
-
-    def parse_term(self) -> tuple[Fraction, MultiIndex, int]:
-        start = self.here()
-        coeff = Fraction(1)
-        self.entries += self.n
-        if self.entries > MAX_TERM_ENTRIES:
-            raise ParseError(f"terms times variables pass {MAX_TERM_ENTRIES}, the most a polynomial may hold", start)
-        exps = [0] * self.n
-        if self.peek() == "int":
-            numer, _ = self.expect_int("coefficient")
-            coeff = Fraction(numer)
-            if self.peek() == "/":
-                self.take()
-                denom, dpos = self.expect_int("positive denominator")
-                if denom == 0:
-                    raise ParseError("denominator must be positive", dpos)
-                coeff = Fraction(numer, denom)
-            if self.peek() != "*":
-                return coeff, tuple(exps), start
-            self.take()
-        elif self.peek() != "x":
-            raise ParseError("expected coefficient or variable", start)
-        degree = self.parse_factor(exps)
-        while self.peek() == "*":
-            self.take()
-            degree += self.parse_factor(exps)
-        if degree > MAX_DEGREE:
-            raise ParseError(f"term degree passes {MAX_DEGREE}, the most a polynomial may have", start)
-        return coeff, tuple(exps), start
-
-    def parse_factor(self, exps: list[int]) -> int:
-        """Add one factor to exps and return its exponent."""
-        if self.peek() != "x":
-            raise ParseError("expected variable", self.here())
-        _, _, xpos = self.take()
-        index, _ = self.expect_int("variable index")
-        if index < 1 or index > self.n:
-            raise ParseError(f"variable index x{index} out of range 1..{self.n}", xpos)
-        power = 1
-        if self.peek() == "^":
-            self.take()
-            power, ppos = self.expect_int("positive exponent")
-            if power == 0:
-                raise ParseError("exponent must be a positive integer", ppos)
-        exps[index - 1] += power
-        return power
 
 
 def parse_polynomial(text: str, n: int) -> HomogeneousPolynomial:
@@ -302,8 +210,73 @@ def parse_polynomial(text: str, n: int) -> HomogeneousPolynomial:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    terms, degree = _Parser(text, n).parse()
-    return HomogeneousPolynomial(n, degree, terms)
+    tokens = _tokenize(text)
+    if len(tokens) == 1:
+        raise ParseError("empty polynomial", 0)
+    i = int(tokens[0][0] == "-")
+    sign = -1 if i else 1
+    terms: dict[MultiIndex, RationalLike] = {}
+    degree: int | None = None
+    entries = 0
+    while True:
+        kind, value, start = tokens[i]
+        entries += n
+        if entries > MAX_TERM_ENTRIES:
+            raise ParseError(f"terms times variables pass {MAX_TERM_ENTRIES}, the most a polynomial may hold", start)
+        exps = [0] * n
+        coeff: RationalLike = 1
+        more = kind == "x"
+        if kind == "int":
+            coeff, i = value, i + 1
+            if tokens[i][0] == "/":
+                kind, denom, pos = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected positive denominator", pos)
+                if not denom:
+                    raise ParseError("denominator must be positive", pos)
+                coeff = Fraction(value, denom)
+                i += 2
+            more = tokens[i][0] == "*"
+            i += more
+        elif not more:
+            raise ParseError("expected coefficient or variable", start)
+        while more:  # one factor: 'x' index ['^' exponent]
+            kind, _, xpos = tokens[i]
+            if kind != "x":
+                raise ParseError("expected variable", xpos)
+            kind, index, pos = tokens[i + 1]
+            if kind != "int":
+                raise ParseError("expected variable index", pos)
+            if not 1 <= index <= n:
+                raise ParseError(f"variable index x{index} out of range 1..{n}", xpos)
+            i += 2
+            power = 1
+            if tokens[i][0] == "^":
+                kind, power, pos = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected positive exponent", pos)
+                if not power:
+                    raise ParseError("exponent must be a positive integer", pos)
+                i += 2
+            exps[index - 1] += power
+            more = tokens[i][0] == "*"
+            i += more
+        td = sum(exps)
+        if td > MAX_DEGREE:
+            raise ParseError(f"term degree passes {MAX_DEGREE}, the most a polynomial may have", start)
+        if degree is None:
+            degree = td
+        elif td != degree:
+            raise ParseError(f"mixed degrees: term of degree {td} after degree {degree}", start)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + sign * coeff  # a key keeps its first place
+        kind, _, pos = tokens[i]
+        if kind == "end":
+            return HomogeneousPolynomial(n, degree, terms)
+        if kind not in ("+", "-"):
+            raise ParseError("expected '+' or '-'", pos)
+        sign = 1 if kind == "+" else -1
+        i += 1
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -509,6 +509,10 @@ class TestLimits:
             (["grid-min", "x1", "--n", "1000000", "--r", "1", "--json"], 3, "entries"),
             (["bernstein", "x1^5*x2^10*x3^10", "--n", "5000", "--r", "3", "--route", "closed", "--json"], 3, "Stirling"),
             (["bernstein", "1", "--n", "8000", "--r", "1", "--route", "def", "--json"], 3, "entries"),
+            (["ptas", "x1^2 + x2^2", "--n", "2", "--epsilon", "1e-30000000"], 2, "exponent"),
+            (["bound", "x1^2 + x2^2", "--n", "2", "--r", "3", "--range", "1e-30000000,1"], 2, "exponent"),
+            (["moments", "--n", "2", "--r", "3", "--beta", "2,0", "--x", "1e-30000000,1"], 2, "exponent"),
+            (["bernstein", "x1^2 + x2^2", "--n", "2", "--r", "3", "--eval", "0,1E+30000000"], 2, "exponent"),
         ],
     )
     def test_limit_is_refused_at_once(self, capsys, argv, code, fragment):
@@ -516,6 +520,19 @@ class TestLimits:
         got, out, err = run(capsys, *argv)
         assert got == code and out == "" and fragment in err
         assert perf_counter() - start < 1.0
+
+    # each message holds a value past the 4,300 digits that str(int) writes
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["ptas", "x1^2 + x2^2", "--n", "2", "--epsilon", "1e-4300"], "needs a grid order above"),
+            (["bound", "x1^2 + x2^2", "--n", "2", "--r", "3", "--range", "1,1e-4300"], "exceeds upper"),
+            (["bound", f"1/{'9' * 4300}*x1^2 + 1/{'9' * 4300}*x2^2", "--n", "2", "--r", "7", "--range", "1,2"], "is refuted"),
+        ],
+    )
+    def test_precondition_message_past_the_int_string_digit_limit(self, capsys, argv, fragment):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and fragment in err
 
     def test_seed_belongs_to_randomized_commands_only(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -97,26 +97,40 @@ class TestParsing:
         f = parse_polynomial("  2 * x1 ^ 2  +  x2^2 - 5*x1*x2 ", 2)
         assert f.terms == parse_polynomial(EXAMPLE_QUADRATIC, 2).terms
 
-    @pytest.mark.parametrize(
-        "text, fragment",
-        [
-            ("x0 + x1", "out of range"),
-            ("x3", "out of range"),
-            ("2x1", "expected '+' or '-'"),
-            ("x1^0", "positive"),
-            ("1/0", "positive"),
-            ("x1 + ", "expected coefficient or variable"),
-            ("x1 * 3", "expected variable"),
-            ("", "empty"),
-            ("x1 $ x2", "unexpected character"),
-            ("1" * 5000 + "*x1", "integer literal"),
-            ("x1\u00b2", "integer literal"),
-        ],
-    )
-    def test_rejections(self, text, fragment):
+    REJECTIONS = [
+        ("x0 + x1", "out of range", 0),
+        ("x3", "out of range", 0),
+        ("2x1", "expected '+' or '-'", 1),
+        ("x1^0", "positive", 3),
+        ("1/0", "positive", 2),
+        ("x1 + ", "expected coefficient or variable", 5),
+        ("x1 * 3", "expected variable", 5),
+        ("", "empty", 0),
+        ("x1 $ x2", "unexpected character", 3),
+        ("1" * 5000 + "*x1", "integer literal", 0),
+        ("x1\u00b2", "integer literal", 1),
+        ("12\u00b2", "integer literal of 3 digits", 0),
+        ("1" * 5000 + "\u00b2", "integer literal of 5001 digits", 0),
+        ("-", "expected coefficient or variable", 1),
+        ("   ", "empty", 0),
+        ("1/", "expected positive denominator", 2),
+        ("x1^", "expected positive exponent", 3),
+        ("x", "expected variable index", 1),
+        ("x1 x2", "expected '+' or '-'", 3),
+        ("x1 + 1/x2", "expected positive denominator", 7),
+        ("x1^2 + x1*x2 + x2", "mixed degrees", 15),
+    ]
+
+    # ids from text and fragment alone, so a row's name does not depend on its position
+    @pytest.mark.parametrize("text, fragment, position", REJECTIONS, ids=[f"{t}-{f}" for t, f, _ in REJECTIONS])
+    def test_rejections(self, text, fragment, position):
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, 2)
         assert fragment in str(err.value)
+        assert err.value.position == position
+
+    def test_arabic_indic_digits_are_read(self):
+        assert parse_polynomial("\u0661*x\u0661 + x2", 2).terms == {(1, 0): F(1), (0, 1): F(1)}
 
     def test_error_position_reported(self):
         with pytest.raises(ParseError) as err:
